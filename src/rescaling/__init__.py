@@ -10,11 +10,11 @@ postcritical finiteness) and numerically spot-checked at small parameters.
 
 from .coefficients import ApproxComplex, GaussianRational
 from .config import default_truncation
-from .errors import (AdvanceNotTerminating, AffineChartExhausted,
-                     AssertionFailed, DegenerateFamily, DegreeCapExceeded,
-                     GridDegenerate, MixedCoefficients, ParseError,
-                     PrecisionExhausted, RamificationCapExceeded,
-                     RefuseToSample, RescalingError, ToleranceAmbiguous)
+from .errors import (AdvanceNotTerminating, AssertionFailed,
+                     DegenerateFamily, DegreeCapExceeded, GridDegenerate,
+                     MixedCoefficients, ParseError, PrecisionExhausted,
+                     RamificationCapExceeded, RefuseToSample, RescalingError,
+                     ToleranceAmbiguous)
 from .puiseux import PuiseuxSeries
 from .maps import (AffineFrame, MapL, ReducedMap, compose_families,
                    compose_reduced, conjugate, gauss_normalize,
@@ -23,20 +23,21 @@ from .maps import (AffineFrame, MapL, ReducedMap, compose_families,
 from .frames import (FrameClass, PeriodSetReport, RescalingCycle, ScanResult,
                      StepResult, advance, canonicalize,
                      cycle_limit_crosscheck, equivalent_via_reduction,
-                     find_cycle, monomial_seed_scan, period_set_check)
+                     escape_bound, find_cycle, frame_size, monomial_seed_scan,
+                     period_set_check)
 from .classify import (DichotomyReport, LimitClassification, PcfReport,
                        classify_limit, multiple_fixed_point, pcf_check,
                        polynomial_like, quadratic_dichotomy_report)
 from .verify import (VerificationReport, chordal_distance, sphere_grid,
                      verify_rescaling)
-from .famparse import FamilySpec, parse_family, parse_frame
+from .famparse import parse_family, parse_frame
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvanceNotTerminating", "AffineChartExhausted", "AffineFrame",
-    "ApproxComplex", "AssertionFailed", "DegenerateFamily",
-    "DegreeCapExceeded", "DichotomyReport", "FamilySpec", "FrameClass",
+    "AdvanceNotTerminating", "AffineFrame", "ApproxComplex",
+    "AssertionFailed", "DegenerateFamily", "DegreeCapExceeded",
+    "DichotomyReport", "FrameClass",
     "GaussianRational", "GridDegenerate", "LimitClassification", "MapL",
     "MixedCoefficients", "ParseError", "PcfReport", "PeriodSetReport",
     "PrecisionExhausted", "PuiseuxSeries", "RamificationCapExceeded",
@@ -45,7 +46,8 @@ __all__ = [
     "advance", "canonicalize", "chordal_distance", "classify_limit",
     "compose_families", "compose_reduced", "conjugate",
     "cycle_limit_crosscheck", "default_truncation",
-    "equivalent_via_reduction", "find_cycle", "gauss_normalize",
+    "equivalent_via_reduction", "escape_bound", "find_cycle", "frame_size",
+    "gauss_normalize",
     "iterate_family", "monomial_seed_scan", "multiple_fixed_point",
     "parse_family", "parse_frame", "pcf_check", "period_set_check",
     "polynomial_like", "precompose_affine", "quadratic_dichotomy_report",

@@ -25,10 +25,10 @@ from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      ParseError, PrecisionExhausted, RamificationCapExceeded,
                      RefuseToSample, ToleranceAmbiguous)
 from .famparse import parse_family, parse_frame
-from .frames import (FrameClass, RescalingCycle, StepResult, advance,
-                     cycle_limit_crosscheck, find_cycle, monomial_seed_scan,
-                     period_set_check)
-from .maps import ReducedMap, precompose_affine, reduce_family
+from .frames import (FrameClass, RescalingCycle, ScanResult, StepResult,
+                     advance, cycle_limit_crosscheck, find_cycle,
+                     monomial_seed_scan, period_set_check)
+from .maps import MapL, ReducedMap, precompose_affine, reduce_family
 from .verify import verify_rescaling
 
 SCHEMA_VERSION = 1
@@ -135,7 +135,7 @@ def _cmd_reduce(args, trunc) -> Outcome:
     payload["family"]["degree"] = fam.degree
     work = fam
     if args.frame is not None:
-        frame = parse_frame(args.frame, trunc)
+        frame = parse_frame(args.frame, trunc, fam.ftype)
         work = precompose_affine(fam, frame)
         payload["frames"].append(
             {"h": str(frame.h), "center": str(frame.c)})
@@ -145,7 +145,7 @@ def _cmd_reduce(args, trunc) -> Outcome:
 
 def _cmd_advance(args, trunc) -> Outcome:
     fam = parse_family(args.family, args.subst, trunc)
-    frame = parse_frame(args.frame, trunc)
+    frame = parse_frame(args.frame, trunc, fam.ftype)
     st = advance(fam, frame)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -156,7 +156,7 @@ def _cmd_advance(args, trunc) -> Outcome:
 
 def _cmd_orbit(args, trunc) -> Outcome:
     fam = parse_family(args.family, args.subst, trunc)
-    seed = parse_frame(args.frame, trunc)
+    seed = parse_frame(args.frame, trunc, fam.ftype)
     cycle = find_cycle(fam, seed, args.max_steps)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -184,7 +184,7 @@ def _cmd_orbit(args, trunc) -> Outcome:
     return payload, code
 
 
-def _cmd_scan(args, trunc) -> Outcome:
+def _scan_payload(args, trunc) -> Tuple[Dict, MapL, ScanResult]:
     fam = parse_family(args.family, args.subst, trunc)
     res = monomial_seed_scan(fam, args.max_denominator, args.max_steps)
     payload = _payload(args)
@@ -197,12 +197,16 @@ def _cmd_scan(args, trunc) -> Outcome:
         "escaped": [str(h) for h in res.escaped],
         "failed": {str(h): msg for h, msg in res.failed.items()},
     }
-    return payload, 0
+    return payload, fam, res
+
+
+def _cmd_scan(args, trunc) -> Outcome:
+    return _scan_payload(args, trunc)[0], 0
 
 
 def _cmd_verify(args, trunc) -> Outcome:
     fam = parse_family(args.family, args.subst, trunc)
-    seed = parse_frame(args.frame, trunc)
+    seed = parse_frame(args.frame, trunc, fam.ftype)
     cycle = find_cycle(fam, seed, args.max_steps)
     s_grid = tuple(float(s) for s in args.s_grid.split(","))
     report = verify_rescaling(fam, cycle, s_grid=s_grid, tol=args.tol,
@@ -220,24 +224,13 @@ def _cmd_verify(args, trunc) -> Outcome:
 
 
 def _cmd_report(args, trunc) -> Outcome:
-    fam = parse_family(args.family, args.subst, trunc)
-    res = monomial_seed_scan(fam, args.max_denominator, args.max_steps)
-    payload = _payload(args)
-    payload["family"]["degree"] = fam.degree
-    payload["cycles"] = [_cycle_dict(c) for c in res.cycles]
-    payload["scan"] = {
-        "max_denominator": args.max_denominator,
-        "seeds_scanned": res.seeds_scanned,
-        "escaped": [str(h) for h in res.escaped],
-        "failed": {str(h): msg for h, msg in res.failed.items()},
-    }
+    payload, fam, res = _scan_payload(args, trunc)
     payload["classification"] = [
         _classification_dict(classify_limit(c.limit)) for c in res.cycles]
-    code = 0
     if args.dichotomy:
         rep = quadratic_dichotomy_report(res.cycles, fam.degree)
         payload["dichotomy"] = _dichotomy_dict(rep)
-    return payload, code
+    return payload, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

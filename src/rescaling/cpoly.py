@@ -8,7 +8,7 @@ series; the zero test of the coefficient type decides what counts as zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .coefficients import ApproxComplex, Coefficient, GaussianRational
 
@@ -245,14 +245,21 @@ def field_det(rows: List[List[Coefficient]]) -> Coefficient:
     return det
 
 
-def roots_numeric(p: Sequence[Coefficient]) -> List[complex]:
-    """All complex roots, with multiplicity, by the companion matrix."""
+def roots_numeric(p: Sequence[Union[Coefficient, complex]]) -> List[complex]:
+    """All complex roots, with multiplicity, by the companion matrix.
+
+    Entries are field coefficients, whose own zero test trims the top, or
+    plain complex numbers, trimmed only where exactly zero.
+    """
     import numpy as np
 
-    p = trim(p)
+    p = list(p)
+    while p and (p[-1] == 0 if isinstance(p[-1], complex) else p[-1].is_zero):
+        p.pop()
     if len(p) <= 1:
         return []
-    arr = [c.to_complex() for c in reversed(p)]
+    arr = [c if isinstance(c, complex) else c.to_complex()
+           for c in reversed(p)]
     return [complex(r) for r in np.roots(arr)]
 
 

@@ -8,14 +8,22 @@ from __future__ import annotations
 
 
 class RescalingError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``details`` is an optional mapping of diagnostics; the CLI copies it,
+    stringified, into the error payload.
+    """
+
+    def __init__(self, message: str = "", details: object = None):
+        super().__init__(message)
+        self.details = details
 
 
 class PrecisionExhausted(RescalingError):
     """A computation needed series terms beyond the stored truncation.
 
     Callers that own the family construction may retry with a doubled
-    truncation; see ``famparse.run_with_retries``.
+    truncation; ``cli.main`` does so up to ``config.PARSE_RETRY_MAX`` times.
     """
 
 
@@ -30,15 +38,10 @@ class DegenerateFamily(RescalingError):
 
 
 class AdvanceNotTerminating(RescalingError):
-    """The frame-advance loop exceeded its resultant-valuation budget."""
-
-
-class AffineChartExhausted(RescalingError):
-    """An advance step produced a non-invertible coordinate change.
-
-    The algorithm only composes shifts and scalings, so this is a defensive
-    assertion rather than a reachable state.
-    """
+    """A frame orbit does not close: the advance loop exceeded its
+    resultant-valuation budget, the orbit ran past its step cap, or an
+    escape certificate proved that no frame class can repeat (``details``
+    then carries the certificate)."""
 
 
 class RamificationCapExceeded(RescalingError):
@@ -65,10 +68,6 @@ class ToleranceAmbiguous(RescalingError):
 class AssertionFailed(RescalingError):
     """A falsifiable structural check (dichotomy, period-set law, degree
     accounting) failed; carries a diagnostic payload in ``details``."""
-
-    def __init__(self, message: str, details: object = None):
-        super().__init__(message)
-        self.details = details
 
 
 class ParseError(RescalingError):

@@ -15,7 +15,6 @@ since the result would need fractional powers of a general series.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from typing import List, Optional, Tuple
@@ -247,17 +246,6 @@ class _Evaluator:
         raise ParseError(f"unknown node {kind!r}")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A parsed family: the source text plus an optional substitution."""
-
-    source: str
-    subst: Optional[str] = None
-
-    def build(self, trunc=None) -> MapL:
-        return parse_family(self.source, self.subst, trunc)
-
-
 def _eval_subst(text: str, ftype: type, trunc) -> PuiseuxSeries:
     node = _Parser(_tokenize(text)).parse()
     if _uses(node, "z"):
@@ -303,8 +291,13 @@ def parse_family(text: str, subst: Optional[str] = None,
     return MapL(num, den)
 
 
-def parse_frame(text: str, trunc=None) -> AffineFrame:
+def parse_frame(text: str, trunc=None,
+                ftype: type = GaussianRational) -> AffineFrame:
     """Parse a frame "h" or "h, center": h a rational, center a series in t.
+
+    The center is built over ``ftype``, the field of the family the frame
+    is meant for; a float literal in the center switches it to approximate
+    coefficients regardless.
 
     >>> parse_frame("2/5").h
     Fraction(2, 5)
@@ -318,11 +311,12 @@ def parse_frame(text: str, trunc=None) -> AffineFrame:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad zoom exponent {head!r}: {exc}") from None
     if not rest.strip():
-        return AffineFrame(h, PuiseuxSeries.zero(inf, GaussianRational))
+        return AffineFrame(h, PuiseuxSeries.zero(inf, ftype))
     node = _Parser(_tokenize(rest)).parse()
     if _uses(node, "z"):
         raise ParseError("frame center may only involve t")
-    ftype = ApproxComplex if _has_float(node) else GaussianRational
+    if _has_float(node):
+        ftype = ApproxComplex
     tserie = PuiseuxSeries.t_power(1, 1, inf, ftype)
     rat = _Evaluator(ftype, tserie, False, allow_z=False).run(node)
     num, den = rat.num[0], rat.den[0]

@@ -233,15 +233,110 @@ class RescalingCycle:
         return self.degree <= 1
 
 
+def _top_terms(fam: MapL) -> Optional[Tuple[int, int, Fraction, Fraction]]:
+    """(d, e, v(a_d), v(b_e)) for the top known terms of P and Q, or None.
+
+    None when either side has no known term, or when a coefficient above its
+    top known term is zero only as far as known.
+    """
+    tops = []
+    for coeffs in (fam.num, fam.den):
+        known = [i for i, c in enumerate(coeffs) if c.terms]
+        if not known or not all(c.is_zero for c in coeffs[known[-1] + 1:]):
+            return None
+        tops.append(known[-1])
+    d, e = tops
+    return d, e, fam.num[d].valuation(), fam.den[e].valuation()
+
+
+def escape_bound(fam: MapL) -> Optional[Fraction]:
+    """Frame size below which the top-degree terms certify an escape.
+
+    Write P = sum a_i z^i and Q = sum b_j z^j with a_d, b_e their top known
+    terms.  A frame class (h, c) has size m = v(c) when c != 0 and m = h
+    otherwise: the valuation of z = c + t^h w at a generic point w of the
+    window (a unit w when c = 0; any w when c != 0, since v(c) < h).  The
+    bound is None unless d - e >= 2, and otherwise the least of
+    (v(b_e) - v(a_d)) / (d - e - 1), (v_low(a_i) - v(a_d)) / (d - i) for
+    i < d, and (v_low(b_j) - v(b_e)) / (e - j) for j < e, where v_low is
+    the certified lower bound ``val_lower`` (infinite, so no constraint,
+    for an exact zero).
+
+    Lemma.  If a frame class has size m < bound and ``advance`` sends it to
+    a class of size m', then m' = (d - e) m + v(a_d) - v(b_e) < m < bound.
+
+    Proof.  Let v(z) = m.  For i < d, v(a_i z^i) >= v_low(a_i) + i m >
+    v(a_d) + d m because m < (v_low(a_i) - v(a_d)) / (d - i); so
+    v(P(z)) = v(a_d) + d m, and likewise v(Q(z)) = v(b_e) + e m.  Hence
+    v(f(z)) = (d - e) m + v(a_d) - v(b_e) = m', and m' < m because
+    (d - e - 1) m < v(b_e) - v(a_d).  The target class (h', c') comes with
+    a non-constant reduction phi of M'^-1 o f o M, so for all but finitely
+    many residues of w, f(c + t^h w) = c' + t^h' u with u a unit (c' is
+    cut below t^h'; the cut-off part only shifts phi(w) by a constant,
+    which a generic w does not cancel).  Picking
+    such a generic w with v(c + t^h w) = m gives v(f(z)) = v(c') if c' != 0
+    (v(c') < h') and v(f(z)) = h' if c' = 0, which is the size of the
+    target class in either case.  So the target has size exactly m'.  QED.
+
+    Corollary.  Once one frame of an orbit has size below the bound, every
+    later frame does too, and the sizes strictly decrease.  When the first
+    such frame is caught, every earlier frame has size at least the bound,
+    so no class of the orbit can ever repeat: the orbit escapes.
+
+    >>> from .famparse import parse_family
+    >>> escape_bound(parse_family("z^3 + t/z^2"))
+    Fraction(0, 1)
+    """
+    top = _top_terms(fam)
+    if top is None:
+        return None
+    d, e, va, vb = top
+    if d - e < 2:
+        return None
+    bound = Fraction(vb - va) / (d - e - 1)
+    for i in range(d):
+        bound = min(bound, (fam.num[i].val_lower() - va) / (d - i))
+    for j in range(e):
+        bound = min(bound, (fam.den[j].val_lower() - vb) / (e - j))
+    return bound
+
+
+def frame_size(fc: FrameClass) -> Fraction:
+    """Valuation of a generic point of the window: v(c), or h when c = 0."""
+    return fc.c.terms[0][0] if fc.c.terms else fc.h
+
+
+def _escape(fam: MapL, fc: FrameClass, step: int,
+            bound: Fraction) -> AdvanceNotTerminating:
+    d, e, va, vb = _top_terms(fam)
+    shift = va - vb
+    drift = f"m -> {d - e}m" + (f" + {shift}" if shift > 0 else
+                                 f" - {-shift}" if shift < 0 else "")
+    size = frame_size(fc)
+    return AdvanceNotTerminating(
+        f"frame {fc} after {step} advances has size {size} below the "
+        f"escape bound {bound}; sizes now drift {drift}, so no frame class "
+        f"can repeat",
+        details={"frame": str(fc), "step": step, "size": size,
+                 "bound": bound, "drift": drift})
+
+
 def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
                max_steps: int = 64) -> RescalingCycle:
     """Advance a seed frame until its class orbit repeats.
 
     The limit is the composition of the step limits around the cycle,
     innermost first; its degree must equal the product of the step degrees.
+    The seed and every target are tested against :func:`escape_bound`; the
+    first frame below it raises :class:`AdvanceNotTerminating` with the
+    certificate in ``details``.  Orbits the certificate does not cover end
+    at the ``max_steps`` cap.
     """
     exact = fam.ftype is GaussianRational
+    bound = escape_bound(fam)
     fc = canonicalize(seed)
+    if bound is not None and frame_size(fc) < bound:
+        raise _escape(fam, fc, 0, bound)
     orbit: List[FrameClass] = [fc]
     steps: List[StepResult] = []
     index: Dict[tuple, int] = {fc.key(): 0} if exact else {}
@@ -268,6 +363,8 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
                     details={"expected": expected, "actual": limit.degree})
             return RescalingCycle(cyc_frames, cyc_steps, tuple(orbit[:j]),
                                   tuple(steps[:j]), limit)
+        if bound is not None and frame_size(tgt) < bound:
+            raise _escape(fam, tgt, len(steps), bound)
         orbit.append(tgt)
         if exact:
             index[tgt.key()] = len(orbit) - 1
@@ -337,7 +434,8 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
     """Run every seed frame (p/q, 0), 0 < p/q < 1, q <= max_denominator.
 
     Distinct seeds landing on the same cycle are reported once.  Orbits that
-    never repeat within ``max_steps`` count as escaped; other failures are
+    reach the certified escape region of :func:`escape_bound`, or never
+    repeat within ``max_steps``, count as escaped; other failures are
     recorded per seed with the error message.
     """
     ftype = fam.ftype

@@ -21,8 +21,6 @@ from fractions import Fraction
 from math import cos, gcd, isfinite, log10, pi, sin, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy
-
 from . import cpoly
 from .coefficients import GaussianRational
 from .config import (VERIFY_GRID_POINTS, VERIFY_HOLE_MARGIN, VERIFY_MAX_DROP,
@@ -273,28 +271,19 @@ def _preimages(partial: Optional[ReducedMap], h: object) -> List[object]:
     dn, dd = len(num) - 1, len(den) - 1
     out: List[object] = []
     if h == INFINITY:
-        out.extend(_roots_c(den))
+        out.extend(cpoly.roots_numeric(den))
         if dn > dd:
             out.append(INFINITY)
         return out
     hc = complex(h)
     eq = [a - hc * b for a, b in
           zip(num + [0j] * max(0, dd - dn), den + [0j] * max(0, dn - dd))]
-    out.extend(_roots_c(eq))
+    out.extend(cpoly.roots_numeric(eq))
     at_inf: object = (INFINITY if dn > dd else
                       0j if dn < dd else num[-1] / den[-1])
     if at_inf != INFINITY and abs(at_inf - hc) < 1e-9:
         out.append(INFINITY)
     return out
-
-
-def _roots_c(coeffs: Sequence[complex]) -> List[complex]:
-    cs = list(coeffs)
-    while cs and abs(cs[-1]) == 0.0:
-        cs.pop()
-    if len(cs) <= 1:
-        return []
-    return [complex(r) for r in numpy.roots(list(reversed(cs)))]
 
 
 def _chordal_to(p: Hom, target) -> float:

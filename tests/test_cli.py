@@ -118,6 +118,38 @@ def test_escape_exits_3(capsys):
     assert doc["error"]["type"] == "AdvanceNotTerminating"
 
 
+def test_escape_payload_carries_certificate(capsys):
+    code, doc = run(capsys, "orbit", CUBIC, "--frame", "2")
+    assert code == 3
+    err = doc["error"]
+    assert err["type"] == "AdvanceNotTerminating"
+    assert err["details"] == {"frame": "(-1, 0)", "step": "6", "size": "-1",
+                              "bound": "0", "drift": "m -> 3m - 1"}
+
+
+def test_report_and_scan_share_the_scan_object(capsys):
+    # every quad0 seed 0 < h < 1 sits on a fixed frame with a Mobius limit
+    _, rep = run(capsys, "report", QUAD0, "--max-denominator", "3")
+    _, scn = run(capsys, "scan", QUAD0, "--max-denominator", "3")
+    assert rep["scan"] == scn["scan"]
+    assert [f["h"] for f in rep["scan"]["degree_one_bases"]] \
+        == ["1/3", "1/2", "2/3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--frame", "1"),
+    ("advance", "--frame", "1"),
+    ("orbit", "--frame", "1"),
+    ("verify", "--frame", "1", "--s-grid", "1e-2,1e-3", "--points", "60"),
+])
+def test_float_family_takes_frames(capsys, argv):
+    code, doc = run(capsys, argv[0], QUAD0.replace("1+t^2", "1.0+t^2"),
+                    *argv[1:])
+    assert code == 0, doc.get("error")
+    frames = doc["frames"] or doc["cycles"][0]["frames"]
+    assert frames[0] == {"h": "1", "center": "0"}
+
+
 def test_trunc_flag(capsys):
     code, doc = run(capsys, "reduce", "z^2 + 1/(1-t)", "--trunc", "8")
     assert code == 0

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rescaling import (AdvanceNotTerminating, AffineFrame, PrecisionExhausted,
-                       PuiseuxSeries, RamificationCapExceeded, advance,
+import rescaling.frames as frames_mod
+from rescaling import (AdvanceNotTerminating, AffineFrame, ApproxComplex,
+                       PrecisionExhausted, PuiseuxSeries,
+                       RamificationCapExceeded, RescalingError, advance,
                        canonicalize, compose_reduced, cycle_limit_crosscheck,
-                       equivalent_via_reduction, find_cycle, parse_frame,
-                       period_set_check)
-from .support import cycle, family, reduced, scan
+                       equivalent_via_reduction, escape_bound, find_cycle,
+                       frame_size, monomial_seed_scan, parse_family,
+                       parse_frame, period_set_check)
+from rescaling.config import APPROX_ZERO_THRESHOLD
+from .support import QUAD0, cycle, family, reduced, scan
 
 t_pow = PuiseuxSeries.t_power
 
@@ -242,6 +246,144 @@ def test_scan_deduplicates_cycles():
     # 1/7 and 3/7 land on the same cycle; it appears once
     periods = sorted(c.period for c in res.cycles)
     assert periods == [1, 1, 2]
+
+
+# -- escape certificate ------------------------------------------------------
+
+
+def test_escape_bound_values():
+    assert escape_bound(family("mcm")) == 0
+    assert escape_bound(family("cubic")) == 0
+    # d - e < 2: Lattes has d - e = 1, quad0 has d = e = 2
+    assert escape_bound(family("lattes")) is None
+    assert escape_bound(family("quad0")) is None
+
+
+def _certified_frames():
+    """First frame below the bound on each fixture escape orbit."""
+    out = {}
+    seeds = [("cubic", parse_frame("2"))] + [
+        ("mcm", frame(h)) for h in scan("mcm", 5).escaped]
+    for key, seed in seeds:
+        fam = family(key)
+        bound = escape_bound(fam)
+        fc = canonicalize(seed)
+        before = [fc]
+        while frame_size(fc) >= bound:
+            fc = advance(fam, fc).target
+            before.append(fc)
+        out[(key, str(fc))] = (fam, bound, before)
+    return out
+
+
+def test_escape_certificate_is_sound():
+    # the lemma of escape_bound, checked on the uncapped orbit: from the
+    # first certified frame on, no class repeats and the sizes decrease
+    certified = _certified_frames()
+    assert ("cubic", "(-1, 0)") in certified
+    assert ("mcm", "(-1/5, 0)") in certified
+    for (key, _), (fam, bound, before) in certified.items():
+        fc = before[-1]
+        seen = {f.key() for f in before[:-1]}
+        assert all(frame_size(f) >= bound for f in before[:-1])
+        for _ in range(256):
+            assert fc.key() not in seen, key
+            seen.add(fc.key())
+            nxt = advance(fam, fc).target
+            assert frame_size(nxt) < frame_size(fc) < bound, key
+            fc = nxt
+
+
+def test_cubic_escape_certified_within_six_advances(monkeypatch):
+    calls = []
+    real = frames_mod.advance
+
+    def counting(fam, fr):
+        calls.append(fr)
+        return real(fam, fr)
+
+    monkeypatch.setattr(frames_mod, "advance", counting)
+    with pytest.raises(AdvanceNotTerminating) as info:
+        find_cycle(family("cubic"), parse_frame("2"))
+    assert len(calls) <= 6
+    details = info.value.details
+    assert details["frame"] == "(-1, 0)"
+    assert details["size"] == -1 and details["bound"] == 0
+    assert details["drift"] == "m -> 3m - 1"
+
+
+def _capped_scan(fam, max_denominator, max_steps=64):
+    """Seed scan by a plain advance loop that stops only at its cap."""
+    seeds = sorted({Fraction(p, q) for q in range(2, max_denominator + 1)
+                    for p in range(1, q)})
+    cycles, trivial, escaped, failed = [], [], [], {}
+    seen = set()
+    for h in seeds:
+        orbit = [canonicalize(frame(h))]
+        keys = [orbit[0].key()]
+        degrees = []
+        try:
+            while len(degrees) < max_steps:
+                st_ = advance(fam, orbit[-1])
+                degrees.append(st_.limit.degree)
+                if st_.target.key() in keys:
+                    break
+                orbit.append(st_.target)
+                keys.append(st_.target.key())
+            else:
+                escaped.append(h)
+                continue
+        except RescalingError as exc:
+            failed[h] = type(exc).__name__
+            continue
+        j = keys.index(st_.target.key())
+        if frozenset(keys[j:]) in seen:
+            continue
+        seen.add(frozenset(keys[j:]))
+        degree = 1
+        for dg in degrees[j:]:
+            degree *= dg
+        (trivial if degree <= 1 else cycles).append(
+            tuple(str(f) for f in orbit[j:]))
+    return cycles, trivial, escaped, failed
+
+
+def test_scan_matches_capped_advance_loop():
+    fam = family("mcm")
+    cycles, trivial, escaped, failed = _capped_scan(fam, 11)
+    res = monomial_seed_scan(fam, 11)
+    assert [tuple(str(f) for f in c.frames) for c in res.cycles] == cycles
+    assert [tuple(str(f) for f in c.frames) for c in res.degree_one] \
+        == trivial
+    assert res.escaped == escaped
+    assert {h: msg.split(":")[0] for h, msg in res.failed.items()} == failed
+    assert len(escaped) == 26 and not failed
+
+
+# -- float families ----------------------------------------------------------
+
+
+def _close(a, b):
+    return abs(a.to_complex() - b.to_complex()) <= APPROX_ZERO_THRESHOLD
+
+
+def test_float_spelling_gives_the_same_cycles():
+    exact = family("quad0")
+    approx = parse_family(QUAD0.replace("1+t^2", "1.0+t^2"))
+    assert approx.ftype is ApproxComplex
+    for seed in ("1", "3"):
+        ce = find_cycle(exact, parse_frame(seed))
+        ca = find_cycle(approx, parse_frame(seed, ftype=ApproxComplex))
+        assert ca.period == ce.period
+        for fe, fa in zip(ce.frames, ca.frames):
+            assert fa.h == fe.h
+            assert [e for e, _ in fa.c.terms] == [e for e, _ in fe.c.terms]
+            assert all(_close(a, b) for (_, a), (_, b)
+                       in zip(fa.c.terms, fe.c.terms))
+        for pa, pe in ((ca.limit.num, ce.limit.num),
+                       (ca.limit.den, ce.limit.den)):
+            assert len(pa) == len(pe)
+            assert all(_close(a, b) for a, b in zip(pa, pe))
 
 
 # -- equivalence properties --------------------------------------------------
