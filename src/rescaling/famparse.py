@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 from .config import default_truncation
 from .errors import ParseError
 from .coefficients import ApproxComplex, GaussianRational
-from .maps import AffineFrame, MapL, _sadd, _smul
+from .maps import AffineFrame, MapL, sadd, smul
 from .puiseux import PuiseuxSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([izt])|(->)|([-+*/^(),]))")
@@ -167,15 +167,15 @@ class _Rat:
         self.den = den
 
     def __add__(self, other: "_Rat") -> "_Rat":
-        return _Rat(_sadd(_smul(self.num, other.den),
-                          _smul(other.num, self.den)),
-                    _smul(self.den, other.den))
+        return _Rat(sadd(smul(self.num, other.den),
+                         smul(other.num, self.den)),
+                    smul(self.den, other.den))
 
     def __neg__(self) -> "_Rat":
         return _Rat([-c for c in self.num], self.den)
 
     def __mul__(self, other: "_Rat") -> "_Rat":
-        return _Rat(_smul(self.num, other.num), _smul(self.den, other.den))
+        return _Rat(smul(self.num, other.num), smul(self.den, other.den))
 
     def flipped(self) -> "_Rat":
         if all(c.is_zero for c in self.num):

@@ -23,10 +23,10 @@ from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      DegreeCapExceeded, PrecisionExhausted,
                      RamificationCapExceeded, ToleranceAmbiguous)
 from .coefficients import GaussianRational
-from .maps import (AffineFrame, MapL, ReducedMap, _block_min_val, _sadd,
-                   _sscale, compose_families, compose_reduced, conjugate, gauss_normalize,
-                   iterate_family, precompose_affine, reduce_family,
-                   residues, resultant_valuation)
+from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
+                   compose_families, compose_reduced, conjugate,
+                   gauss_normalize, iterate_family, precompose_affine,
+                   reduce_family, residues, resultant_valuation, sadd, sscale)
 from . import cpoly
 from .puiseux import PuiseuxSeries
 
@@ -146,8 +146,8 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             c1 = _proportional(p_res, q_res)
             if c1 is None:
                 break
-            gnum = _sadd(list(work.num), _sscale(list(work.den), -c1))
-            delta = _block_min_val(gnum)
+            gnum = sadd(list(work.num), sscale(list(work.den), -c1))
+            delta = block_min_val(gnum)
             if delta == inf:
                 raise DegenerateFamily(
                     "family is exactly an affine constant in this frame")
@@ -160,8 +160,8 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             v = (v - c1).shift(-delta)
             spent += delta
         else:
-            vn = _block_min_val(work.num)
-            vd = _block_min_val(work.den)
+            vn = block_min_val(work.num)
+            vd = block_min_val(work.den)
             if vn == inf or vd == inf:
                 raise DegenerateFamily(
                     "numerator or denominator identically zero")

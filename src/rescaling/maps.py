@@ -32,8 +32,9 @@ def _strim(p: List[PuiseuxSeries]) -> List[PuiseuxSeries]:
     return out
 
 
-def _sadd(p: Sequence[PuiseuxSeries],
-          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
+def sadd(p: Sequence[PuiseuxSeries],
+         q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
+    """Sum of two series polynomials."""
     n = max(len(p), len(q))
     out = []
     for i in range(n):
@@ -44,12 +45,14 @@ def _sadd(p: Sequence[PuiseuxSeries],
     return out
 
 
-def _sscale(p: Sequence[PuiseuxSeries], s: PuiseuxSeries) -> List[PuiseuxSeries]:
+def sscale(p: Sequence[PuiseuxSeries], s: PuiseuxSeries) -> List[PuiseuxSeries]:
+    """A series polynomial times one series."""
     return [c * s for c in p]
 
 
-def _smul(p: Sequence[PuiseuxSeries],
-          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
+def smul(p: Sequence[PuiseuxSeries],
+         q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
+    """Product of two series polynomials."""
     if not p or not q:
         return []
     out: List[PuiseuxSeries] = [None] * (len(p) + len(q) - 1)
@@ -126,10 +129,6 @@ class MapL:
         """The family t^a * (P/Q)."""
         return MapL([c.shift(a) for c in self.num], self.den)
 
-    def evaluate_coeffs(self, tval: complex) -> Tuple[List[complex], List[complex]]:
-        return ([c.evaluate(tval) for c in self.num],
-                [c.evaluate(tval) for c in self.den])
-
     def __repr__(self):
         n = " + ".join(f"({c})z^{i}" for i, c in enumerate(self.num)
                        if c.terms or not c.is_zero)
@@ -138,7 +137,7 @@ class MapL:
         return f"<MapL deg {self.degree}: [{n}] / [{d}]>"
 
 
-def _block_min_val(coeffs: Sequence[PuiseuxSeries]):
+def block_min_val(coeffs: Sequence[PuiseuxSeries]):
     """Least valuation over a coefficient block, or inf for an exact-zero block.
 
     Undecidable when some coefficient is zero as far as known but truncated
@@ -164,7 +163,7 @@ def gauss_normalize(fam: MapL) -> MapL:
     """
     if all(c.is_zero for c in fam.num) or all(c.is_zero for c in fam.den):
         raise DegenerateFamily("numerator or denominator identically zero")
-    mu = _block_min_val(fam.coeffs())
+    mu = block_min_val(fam.coeffs())
     if mu == 0:
         return fam
     return MapL([c.shift(-mu) for c in fam.num],
@@ -310,19 +309,19 @@ def precompose_affine(fam: MapL, frame: AffineFrame) -> MapL:
     lin = [frame.c, slope]  # c + t^h w
     powers: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one(inf, ftype)]]
     for _ in range(fam.degree):
-        powers.append(_smul(powers[-1], lin))
+        powers.append(smul(powers[-1], lin))
     num: List[PuiseuxSeries] = []
     den: List[PuiseuxSeries] = []
     for i in range(fam.degree + 1):
-        num = _sadd(num, _sscale(powers[i], fam.num[i]))
-        den = _sadd(den, _sscale(powers[i], fam.den[i]))
+        num = sadd(num, sscale(powers[i], fam.num[i]))
+        den = sadd(den, sscale(powers[i], fam.den[i]))
     return MapL(num, den)
 
 
 def postcompose_affine(slope: PuiseuxSeries, intercept: PuiseuxSeries,
                        fam: MapL) -> MapL:
     """The family slope * f + intercept."""
-    num = _sadd(_sscale(fam.num, slope), _sscale(fam.den, intercept))
+    num = sadd(sscale(fam.num, slope), sscale(fam.den, intercept))
     return MapL(num, fam.den)
 
 
@@ -348,15 +347,15 @@ def compose_families(outer: MapL, inner: MapL, window=None) -> MapL:
     p_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one(inf, outer.ftype)]]
     q_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one(inf, outer.ftype)]]
     for _ in range(outer.degree):
-        p_pow.append(_smul(p_pow[-1], list(inner.num)))
-        q_pow.append(_smul(q_pow[-1], list(inner.den)))
+        p_pow.append(smul(p_pow[-1], list(inner.num)))
+        q_pow.append(smul(q_pow[-1], list(inner.den)))
     m = outer.degree
     num: List[PuiseuxSeries] = []
     den: List[PuiseuxSeries] = []
     for i in range(m + 1):
-        basis = _smul(p_pow[i], q_pow[m - i])
-        num = _sadd(num, _sscale(basis, outer.num[i]))
-        den = _sadd(den, _sscale(basis, outer.den[i]))
+        basis = smul(p_pow[i], q_pow[m - i])
+        num = sadd(num, sscale(basis, outer.num[i]))
+        den = sadd(den, sscale(basis, outer.den[i]))
     out = MapL(num, den)
     if window is None:
         if all(c.is_exact for c in out.coeffs()):

@@ -289,23 +289,6 @@ class PuiseuxSeries:
             n >>= 1
         return out
 
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, tval: complex) -> complex:
-        """Numeric value at a concrete parameter.
-
-        Fractional exponents use the principal branch, so callers should
-        substitute t = s^D first when a single-valued answer matters.
-        """
-        total = 0j
-        for e, c in self.terms:
-            if e.denominator == 1:
-                p = complex(tval) ** int(e)
-            else:
-                p = complex(tval) ** float(e)
-            total += c.to_complex() * p
-        return total
-
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other):

@@ -16,13 +16,13 @@ comparison, otherwise the tolerance was meaningless.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, isfinite, log10, pi, sin, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import ceil, cos, gcd, isfinite, log10, pi, sin, sqrt
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import cpoly
-from .coefficients import GaussianRational
 from .config import (VERIFY_GRID_POINTS, VERIFY_HOLE_MARGIN, VERIFY_MAX_DROP,
                      VERIFY_S_GRID, VERIFY_TAIL_BOUND, VERIFY_TOL)
 from .errors import GridDegenerate, RefuseToSample
@@ -83,13 +83,32 @@ def _ramification(fam: MapL, cycle: RescalingCycle) -> int:
     return d
 
 
-def _eval_at_s(series: PuiseuxSeries, sval: complex, ram: int) -> complex:
+def _resolved(e: Fraction, ram: int) -> int:
+    n = e * ram
+    if n.denominator != 1:
+        raise ValueError("exponent not resolved by the reparametrization")
+    return int(n)
+
+
+def _coeff_complex(c) -> complex:
+    return c.to_complex()
+
+
+def _coeff_mpc(c):
+    """A coefficient of either field as an mpc at the working precision.
+
+    mpf takes no Fraction, so each part enters as numerator / denominator.
+    """
+    import mpmath
+    parts = (c.re.as_integer_ratio(), c.im.as_integer_ratio())
+    return mpmath.mpc(*(mpmath.mpf(n) / d for n, d in parts))
+
+
+def _eval_at_s(series: PuiseuxSeries, sval, ram: int, to_num: Callable):
+    """The series at t = sval^ram, its coefficients converted by ``to_num``."""
     total = 0j
     for e, c in series.terms:
-        n = e * ram
-        if n.denominator != 1:
-            raise ValueError("exponent not resolved by the reparametrization")
-        total += c.to_complex() * sval ** int(n)
+        total += to_num(c) * sval ** _resolved(e, ram)
     return total
 
 
@@ -310,128 +329,44 @@ def _max_error(fam: MapL, cycle: RescalingCycle,
                lim_hom: Tuple[List[complex], List[complex]],
                points: Sequence[complex], sval: complex,
                ram: int) -> Tuple[float, int]:
-    if (fam.ftype is GaussianRational
-            and _cancellation_digits(cycle, abs(sval), ram) > 9.0):
-        return _max_error_exact(fam, cycle, lim_hom, points, sval, ram)
-    num_vals = [_eval_at_s(c, sval, ram) for c in fam.num]
-    den_vals = [_eval_at_s(c, sval, ram) for c in fam.den]
-    h = cycle.base.h
-    th = sval ** int(h * ram) if (h * ram).denominator == 1 else None
-    if th is None:
-        raise ValueError("frame exponent not resolved by reparametrization")
-    cval = _eval_at_s(cycle.base.c, sval, ram)
-    worst = 0.0
-    dropped = 0
-    for w in points:
-        p: Optional[Hom] = (cval + th * w, 1.0 + 0j)
-        for _ in range(cycle.period):
-            p = _hom_apply(num_vals, den_vals, p)
-            if p is None:
-                break
-        if p is None:
-            dropped += 1
-            continue
-        p = (p[0] - cval * p[1], th * p[1])
-        m = max(abs(p[0]), abs(p[1]))
-        if m == 0.0 or not isfinite(m):
-            dropped += 1
-            continue
-        p = (p[0] / m, p[1] / m)
-        q = _hom_apply(lim_hom[0], lim_hom[1], (w, 1.0 + 0j))
-        if q is None:
-            dropped += 1
-            continue
-        worst = max(worst, chordal_hom(p, q))
-    return worst, dropped
+    """Worst chordal gap between the rescaled return map and the limit.
 
-
-def _gauss_of(z: complex) -> GaussianRational:
-    return GaussianRational(Fraction(z.real), Fraction(z.imag))
-
-
-def _eval_exact(series: PuiseuxSeries, sG: GaussianRational,
-                ram: int) -> GaussianRational:
-    total = GaussianRational.zero()
-    for e, c in series.terms:
-        n = e * ram
-        if n.denominator != 1:
-            raise ValueError("exponent not resolved by the reparametrization")
-        total = total + c * sG ** int(n)
-    return total
-
-
-def _hom_apply_exact(num_vals, den_vals, pz, pw):
-    # no per-step normalization: exact entries cannot overflow, and the
-    # final comparison is scale-free
-    d = len(num_vals) - 1
-    pzs = [GaussianRational.one()]
-    pws = [GaussianRational.one()]
-    for _ in range(d):
-        pzs.append(pzs[-1] * pz)
-        pws.append(pws[-1] * pw)
-    nz = GaussianRational.zero()
-    nw = GaussianRational.zero()
-    for i in range(d + 1):
-        mono = pzs[i] * pws[d - i]
-        nz = nz + num_vals[i] * mono
-        nw = nw + den_vals[i] * mono
-    if nz.is_zero and nw.is_zero:
-        return None, None
-    return nz, nw
-
-
-def _common_denominator(vals: Sequence[GaussianRational]) -> int:
-    d = 1
-    for v in vals:
-        d = _lcm(d, _lcm(v.re.denominator, v.im.denominator))
-    return d
-
-
-def _max_error_exact(fam: MapL, cycle: RescalingCycle,
-                     lim_hom: Tuple[List[complex], List[complex]],
-                     points: Sequence[complex], sval: complex,
-                     ram: int) -> Tuple[float, int]:
-    """Reference orbit in exact arithmetic, floats only for the final metric.
-
-    Denominators are cleared up front so the iteration runs on Gaussian
-    integers; a single rational division per point would otherwise turn
-    into a gcd on every multiply.
+    The orbit runs in Python complex while the frame's cancellation stays
+    within 9 digits, and otherwise in mpmath complex numbers carrying 20
+    digits more than it cancels; only the final comparison is in floats.
     """
-    sG = _gauss_of(complex(sval))
-    num_vals = [_eval_exact(c, sG, ram) for c in fam.num]
-    den_vals = [_eval_exact(c, sG, ram) for c in fam.den]
-    cd = _common_denominator(num_vals + den_vals)
-    num_vals = [c * cd for c in num_vals]
-    den_vals = [c * cd for c in den_vals]
-    h = cycle.base.h
-    if (h * ram).denominator != 1:
-        raise ValueError("frame exponent not resolved by reparametrization")
-    thG = sG ** int(h * ram)
-    cG = _eval_exact(cycle.base.c, sG, ram)
-    md = _common_denominator([thG, cG])
-    worst = 0.0
-    dropped = 0
-    for w in points:
-        wG = _gauss_of(w)
-        pz = cG + thG * wG
-        pw = GaussianRational(_common_denominator([pz]))
-        pz = pz * pw
-        for _ in range(cycle.period):
-            pz, pw = _hom_apply_exact(num_vals, den_vals, pz, pw)
-            if pz is None:
-                break
-        if pz is None:
-            dropped += 1
-            continue
-        pz, pw = (pz - cG * pw) * md, thG * pw * md
-        m = pz if pz.abs2() >= pw.abs2() else pw
-        if m.is_zero:
-            dropped += 1
-            continue
-        p = ((pz / m).to_complex(), (pw / m).to_complex())
-        q = _hom_apply(lim_hom[0], lim_hom[1], (w, 1.0 + 0j))
-        if q is None:
-            dropped += 1
-            continue
-        worst = max(worst, chordal_hom(p, q))
+    digits = _cancellation_digits(cycle, abs(sval), ram)
+    if digits <= 9.0:
+        ctx, to_num, s = nullcontext(), _coeff_complex, sval
+    else:
+        import mpmath
+        ctx = mpmath.workdps(ceil(digits) + 20)
+        to_num, s = _coeff_mpc, mpmath.mpc(sval)
+    with ctx:
+        num_vals = [_eval_at_s(c, s, ram, to_num) for c in fam.num]
+        den_vals = [_eval_at_s(c, s, ram, to_num) for c in fam.den]
+        th = s ** _resolved(cycle.base.h, ram)
+        cval = _eval_at_s(cycle.base.c, s, ram, to_num)
+        worst = 0.0
+        dropped = 0
+        for w in points:
+            p: Optional[Hom] = (cval + th * w, 1.0 + 0j)
+            for _ in range(cycle.period):
+                p = _hom_apply(num_vals, den_vals, p)
+                if p is None:
+                    break
+            if p is None:
+                dropped += 1
+                continue
+            p = (p[0] - cval * p[1], th * p[1])
+            m = max(abs(p[0]), abs(p[1]))
+            if m == 0.0 or not isfinite(m):
+                dropped += 1
+                continue
+            p = (complex(p[0] / m), complex(p[1] / m))
+            q = _hom_apply(lim_hom[0], lim_hom[1], (w, 1.0 + 0j))
+            if q is None:
+                dropped += 1
+                continue
+            worst = max(worst, chordal_hom(p, q))
     return worst, dropped

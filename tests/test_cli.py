@@ -1,9 +1,13 @@
 """Command line interface: JSON payloads and exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rescaling
 from rescaling import cli
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
 
@@ -148,6 +152,29 @@ def test_float_family_takes_frames(capsys, argv):
     assert code == 0, doc.get("error")
     frames = doc["frames"] or doc["cycles"][0]["frames"]
     assert frames[0] == {"h": "1", "center": "0"}
+
+
+def test_float_family_verifies_high_cancellation_frame(capsys):
+    # at (3, 0) the frame cancels 12 and 16 digits at s = 1e-3 and 1e-4,
+    # past double precision; the float spelling must still pass, with the
+    # exact spelling's errors
+    code, doc = run(capsys, "verify", QUAD0.replace("1+t^2", "1.0+t^2"),
+                    "--frame", "3")
+    assert code == 0, doc.get("error")
+    rep = doc["verification"][0]
+    assert rep["ok"] is True
+    _, exact = run(capsys, "verify", QUAD0, "--frame", "3")
+    want = exact["verification"][0]["max_errors"]
+    assert rep["max_errors"] == pytest.approx(want, rel=1e-6)
+
+
+def test_cli_import_loads_no_numeric_stack():
+    src = str(Path(rescaling.__file__).resolve().parents[1])
+    probe = ("import sys, rescaling.cli; "
+             "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_trunc_flag(capsys):

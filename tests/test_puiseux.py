@@ -128,11 +128,6 @@ def test_mixing_coefficient_kinds_rejected():
         exact + approx
 
 
-def test_evaluate():
-    s = series((0, 1), (1, 2), (2, 1))
-    assert s.evaluate(0.5) == 2.25
-
-
 def test_str_forms():
     assert str(series((0, 1), (1, 1))) == "1 + t"
     assert str(series((-1, 1), (0, 1))) == "t^-1 + 1"

@@ -84,3 +84,26 @@ def test_report_dict_shape():
                 "s_values", "t_samples", "max_errors", "points_checked",
                 "points_excluded", "control_error", "control_rejected"):
         assert key in d
+
+
+# max_errors and control_error of the default check, recorded from the
+# exact Gaussian-rational orbit these high-cancellation cycles once ran on
+EXACT_ORBIT_PINS = {
+    ("cubic", "3"): ([4.978744038525362e-03, 4.997313933351009e-04,
+                      4.999502908007618e-05], 0.796084380023185),
+    ("cubic_inv", "4"): ([1.2419583259207107e-02, 1.2491849116907407e-03,
+                          1.2499105402802549e-04], 0.799566375520793),
+    ("cubic_shift", "5"): ([7.370727640731693e-03, 7.486861674213378e-04,
+                            7.49863700258748e-05], 0.7965884867576365),
+    ("quad0", "3"): ([5.7000078522678455e-05, 5.69869630516134e-07,
+                      5.698681407611771e-09], 0.7960579353315995),
+}
+
+
+@pytest.mark.parametrize("key,seed", sorted(EXACT_ORBIT_PINS))
+def test_high_cancellation_matches_exact_orbit(key, seed):
+    errors, control = EXACT_ORBIT_PINS[key, seed]
+    rep = verify_rescaling(family(key), cycle(key, seed))
+    assert rep.max_errors == pytest.approx(errors, rel=1e-6)
+    assert rep.control_error == pytest.approx(control, rel=1e-6)
+    assert rep.ok
