@@ -5,13 +5,15 @@ success, 2 when a consistency assertion or parse error fires, 3 when
 precision, termination, or sampling gives out.  The default series
 truncation honours the RESCALING_TRUNC environment variable; --trunc
 overrides it, and a run that exhausts precision is retried with doubled
-truncation a few times before giving up.
+truncation a few times before giving up.  A reader that closes stdout
+early gets no traceback, and the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -122,8 +124,15 @@ def _payload(args) -> Dict:
 
 
 def _emit(payload: Dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull, so
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 Outcome = Tuple[Dict, int]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from math import inf
 from typing import List, Optional, Tuple
 
@@ -260,6 +261,18 @@ def _eval_subst(text: str, ftype: type, trunc) -> PuiseuxSeries:
     return series
 
 
+def _depth_checked(parse):
+    """Report a parse that runs out of recursion depth as a ParseError."""
+    @wraps(parse)
+    def wrapper(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
+    return wrapper
+
+
+@_depth_checked
 def parse_family(text: str, subst: Optional[str] = None,
                  trunc=None) -> MapL:
     """Parse a family of maps in z with coefficients rational in t.
@@ -291,6 +304,7 @@ def parse_family(text: str, subst: Optional[str] = None,
     return MapL(num, den)
 
 
+@_depth_checked
 def parse_frame(text: str, trunc=None,
                 ftype: type = GaussianRational) -> AffineFrame:
     """Parse a frame "h" or "h, center": h a rational, center a series in t.

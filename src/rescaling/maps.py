@@ -11,8 +11,9 @@ degenerates).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
-from typing import List, Sequence, Tuple
+from itertools import chain
+from math import inf, lcm
+from typing import Dict, List, Sequence, Tuple
 
 from . import cpoly
 from .config import ITERATE_DEGREE_CAP, default_truncation
@@ -45,22 +46,127 @@ def sadd(p: Sequence[PuiseuxSeries],
     return out
 
 
-def sscale(p: Sequence[PuiseuxSeries], s: PuiseuxSeries) -> List[PuiseuxSeries]:
-    """A series polynomial times one series."""
+def sscale(p: Sequence[PuiseuxSeries],
+           s: PuiseuxSeries | Coefficient) -> List[PuiseuxSeries]:
+    """A series polynomial times one series (through :func:`smul`) or scalar."""
+    if isinstance(s, PuiseuxSeries):
+        return smul(p, [s])
     return [c * s for c in p]
 
 
 def smul(p: Sequence[PuiseuxSeries],
          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Product of two series polynomials."""
+    """Product of two series polynomials.
+
+    Gaussian-rational polynomials multiply on Python ints
+    (:func:`_smul_exact`); approximate ones take :func:`_smul_loop`.
+    """
     if not p or not q:
         return []
+    if all(c.ftype is GaussianRational for c in chain(p, q)):
+        return _smul_exact(p, q)
+    return _smul_loop(p, q)
+
+
+def _smul_loop(p: Sequence[PuiseuxSeries],
+               q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
+    """Product of two series polynomials, one series product per pair."""
     out: List[PuiseuxSeries] = [None] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             prod = a * b
             out[i + j] = prod if out[i + j] is None else out[i + j] + prod
     return out
+
+
+def _smul_exact(p: Sequence[PuiseuxSeries],
+                q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
+    """Product of two Gaussian-rational series polynomials on Python ints.
+
+    The result equals :func:`_smul_loop`'s, in terms and in ``trunc``.
+
+    Truncation.  The loop forms each pair product a_i b_j, known mod t^T_ij
+    with T_ij = min(trunc a_i + v_low b_j, trunc b_j + v_low a_i), and sums
+    the products of one output degree k; a sum is known mod the least
+    truncation of its summands.  So entry k is known mod t^T_k, where T_k
+    is the minimum of T_ij over i + j = k.  Every product and every partial
+    sum drops only terms at or above its own truncation, which is >= T_k,
+    and the last sum (or the one product, when k has a single pair) has
+    truncation exactly T_k.  So a term at exponent e < T_k is never dropped
+    before the end, and one at e >= T_k never survives it.  A coefficient
+    dropped because it summed to zero adds nothing to later sums, and exact
+    addition does not depend on order.  Hence entry k is the sum of all
+    term products a_ie b_jf t^(e+f) with e + f < T_k, zeros removed, mod
+    t^T_k: which is what is accumulated here, with each product outside
+    that range skipped before it is formed.
+
+    Packing.  With r the lcm of all exponent denominators, an exponent e is
+    the int e r.  With D the lcm of the coefficient denominators of one
+    polynomial, a coefficient is the Gaussian integer D c.  A pair product
+    is then an int product over D_p D_q, and each output coefficient is
+    reduced to lowest terms once.
+    """
+    n = len(p) + len(q) - 1
+    bounds = [inf] * n
+    for i, a in enumerate(p):
+        ta, va = a.trunc, a.val_lower()
+        for j, b in enumerate(q):
+            bound = min(ta + b.val_lower(), b.trunc + va)
+            if bound < bounds[i + j]:
+                bounds[i + j] = bound
+    r = lcm(*(e.denominator for c in chain(p, q) for e, _ in c.terms))
+    pp, dp = _pack(p, r)
+    qq, dq = _pack(q, r)
+    # an exponent E / r lies below a bound T exactly when E < ceil(T r)
+    limits = [b if b == inf else -(-b.numerator * r // b.denominator)
+              for b in bounds]
+    acc: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+    for i, terms_a in enumerate(pp):
+        if not terms_a:
+            continue
+        for j, terms_b in enumerate(qq):
+            if not terms_b:
+                continue
+            k = i + j
+            lim, bucket = limits[k], acc[k]
+            first_b = terms_b[0][0]
+            for ea, ar, ai in terms_a:
+                if ea + first_b >= lim:
+                    break
+                for eb, br, bi in terms_b:
+                    e = ea + eb
+                    if e >= lim:
+                        break
+                    slot = bucket.get(e)
+                    if slot is None:
+                        bucket[e] = [ar * br - ai * bi, ar * bi + ai * br]
+                    else:
+                        slot[0] += ar * br - ai * bi
+                        slot[1] += ar * bi + ai * br
+    den = dp * dq
+    exps: Dict[int, Fraction] = {}
+    out = []
+    for k in range(n):
+        terms = []
+        for e, (re, im) in sorted(acc[k].items()):
+            if re or im:
+                ex = exps.get(e)
+                if ex is None:
+                    ex = exps[e] = Fraction(e, r)
+                terms.append((ex, GaussianRational(Fraction(re, den),
+                                                   Fraction(im, den))))
+        out.append(PuiseuxSeries(tuple(terms), bounds[k], GaussianRational))
+    return out
+
+
+def _pack(p: Sequence[PuiseuxSeries], r: int):
+    """Each entry's terms as (e r, D re, D im) ints, and the common D."""
+    den = lcm(*(x.denominator for c in p for _, g in c.terms
+                for x in (g.re, g.im)))
+    return [[(e.numerator * (r // e.denominator),
+              g.re.numerator * (den // g.re.denominator),
+              g.im.numerator * (den // g.im.denominator))
+             for e, g in c.terms] for c in p], den
 
 
 class AffineFrame:

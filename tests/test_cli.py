@@ -115,6 +115,31 @@ def test_parse_error_exits_2(capsys):
     assert doc["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("nest", [
+    lambda x: "(" * 3000 + x + ")" * 3000,  # the parser recurses per level
+    lambda x: x + ("+" + x) * 3000,  # parsed in a loop; tree walks recurse
+], ids=["parentheses", "long_sum"])
+def test_deep_nesting_is_a_parse_error(capsys, nest):
+    for argv in (("reduce", nest("z")),
+                 ("advance", "z^2", "--frame", "1, " + nest("t"))):
+        code, doc = run(capsys, *argv)
+        assert code == 2
+        assert doc["error"] == {"type": "ParseError",
+                                "message": "expression nested too deeply"}
+
+
+def test_closed_stdout_ends_without_traceback():
+    src = str(Path(rescaling.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rescaling.cli", "reduce", "(z+1)^64"],
+        cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child has written anything
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == ""
+
+
 def test_escape_exits_3(capsys):
     code, doc = run(capsys, "orbit", CUBIC, "--frame", "2",
                     "--max-steps", "16")

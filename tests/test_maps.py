@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
                        PuiseuxSeries, compose_families, compose_reduced,
-                       conjugate, gauss_normalize, iterate_family, parse_family,
-                       precompose_affine, reduce_family, resultant_series,
-                       resultant_valuation)
-from .support import reduced
+                       conjugate, gauss_normalize, iterate_family, maps,
+                       parse_family, parse_frame, precompose_affine,
+                       reduce_family, resultant_series, resultant_valuation)
+from rescaling.config import default_truncation
+from rescaling.maps import _smul_exact, _smul_loop
+from .support import family, reduced
 
 t_pow = PuiseuxSeries.t_power
 one = PuiseuxSeries.one
@@ -110,6 +112,74 @@ def test_compose_families_exact_stays_exact():
     fam = parse_family("z^2 + t")
     out = compose_families(fam, fam)
     assert all(c.is_exact for c in out.coeffs())
+
+
+def test_unwindowed_cubic_third_iterate():
+    # the period-3 rescaling of the cubic at (3, 0), composed exactly: every
+    # tail term is kept, and the reduction is still z^2
+    it = iterate_family(conjugate(family("cubic"), parse_frame("3")), 3)
+    assert all(c.is_exact for c in it.coeffs())
+    assert reduce_family(it) == reduced("z^2")
+
+
+# -- the integer product kernel against the per-pair loop -------------------
+
+# small integers make products land exactly on a truncation order
+exponents = st.one_of(
+    st.integers(-3, 6).map(Fraction),
+    st.builds(Fraction, st.integers(-12, 24), st.integers(1, 12)))
+rationals = st.builds(Fraction, st.integers(-3, 3),
+                      st.sampled_from([1, 2, 3, 4, 6, 9]))
+gaussians = st.builds(GaussianRational, rationals, rationals)
+truncs = st.one_of(st.just(inf), exponents)
+# empty term lists give exact zeros (trunc inf) and series that are zero
+# only as far as known (finite trunc); zero coefficients are dropped
+series = st.builds(lambda ts, tr: PuiseuxSeries.build(ts, tr),
+                   st.lists(st.tuples(exponents, gaussians), max_size=4),
+                   truncs)
+series_polys = st.lists(series, min_size=1, max_size=4)
+
+
+def _same(fast, slow):
+    assert fast == slow
+    assert [c.trunc for c in fast] == [c.trunc for c in slow]
+    assert [str(c) for c in fast] == [str(c) for c in slow]
+
+
+@given(series_polys, series_polys)
+def test_smul_kernel_matches_loop(p, q):
+    _same(_smul_exact(p, q), _smul_loop(p, q))
+
+
+@given(series, series)
+def test_smul_kernel_matches_loop_on_cancellation(a, b):
+    # (a + a z)(b - b z) = ab - ab z^2: the middle entry cancels
+    fast = _smul_exact([a, a], [b, -b])
+    _same(fast, _smul_loop([a, a], [b, -b]))
+    assert not fast[1].terms
+
+
+def test_smul_takes_loop_for_approximate_coefficients(monkeypatch):
+    fam = parse_family("t - (1.0+t^2)/z + t/z^2")
+    monkeypatch.setattr(maps, "_smul_exact", None)
+    assert maps.smul(list(fam.num), list(fam.den))
+
+
+def test_smul_kernel_matches_loop_on_quad0_iterates(monkeypatch):
+    def iterates():
+        g = conjugate(family("quad0"), parse_frame("1"))
+        out = [g]
+        for _ in range(4):
+            out.append(compose_families(g, out[-1], default_truncation()))
+        return out
+
+    fast = iterates()
+    monkeypatch.setattr(maps, "smul", _smul_loop)
+    slow = iterates()
+    for ell, (f, s) in enumerate(zip(fast, slow), start=1):
+        assert f.degree == s.degree == 2 ** ell
+        for a, b in zip(f.coeffs(), s.coeffs()):
+            _same([a], [b])
 
 
 def test_resultant_fixed_values():
