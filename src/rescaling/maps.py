@@ -100,26 +100,30 @@ def _smul_exact(p: Sequence[PuiseuxSeries],
     t^T_k: which is what is accumulated here, with each product outside
     that range skipped before it is formed.
 
-    Packing.  With r the lcm of all exponent denominators, an exponent e is
-    the int e r.  With D the lcm of the coefficient denominators of one
+    Packing.  With r the lcm of the denominators of all exponents and
+    finite truncations, an exponent e is the int e r, and so is each T_k.
+    With D the lcm of the coefficient denominators of one
     polynomial, a coefficient is the Gaussian integer D c.  A pair product
     is then an int product over D_p D_q, and each output coefficient is
     reduced to lowest terms once.
     """
     n = len(p) + len(q) - 1
-    bounds = [inf] * n
-    for i, a in enumerate(p):
-        ta, va = a.trunc, a.val_lower()
-        for j, b in enumerate(q):
-            bound = min(ta + b.val_lower(), b.trunc + va)
-            if bound < bounds[i + j]:
-                bounds[i + j] = bound
-    r = lcm(*(e.denominator for c in chain(p, q) for e, _ in c.terms))
+    r = lcm(*(e.denominator for c in chain(p, q) for e, _ in c.terms),
+            *(c.trunc.denominator for c in chain(p, q) if c.trunc != inf))
     pp, dp = _pack(p, r)
     qq, dq = _pack(q, r)
-    # an exponent E / r lies below a bound T exactly when E < ceil(T r)
-    limits = [b if b == inf else -(-b.numerator * r // b.denominator)
-              for b in bounds]
+    # T_k r as an int.  Only a finite trunc against a nonzero partner gives
+    # a finite T_ij, so exact polynomials skip this loop.
+    limits = [inf] * n
+    for x, y in ((p, q), (q, p)):
+        lows = [(j, _scaled(c.val_lower(), r))
+                for j, c in enumerate(y) if not c.is_zero]
+        for i, c in enumerate(x):
+            if c.trunc != inf:
+                top = _scaled(c.trunc, r)
+                for j, low in lows:
+                    if top + low < limits[i + j]:
+                        limits[i + j] = top + low
     acc: List[Dict[int, List[int]]] = [{} for _ in range(n)]
     for i, terms_a in enumerate(pp):
         if not terms_a:
@@ -155,15 +159,21 @@ def _smul_exact(p: Sequence[PuiseuxSeries],
                     ex = exps[e] = Fraction(e, r)
                 terms.append((ex, GaussianRational(Fraction(re, den),
                                                    Fraction(im, den))))
-        out.append(PuiseuxSeries(tuple(terms), bounds[k], GaussianRational))
+        trunc = inf if limits[k] == inf else Fraction(limits[k], r)
+        out.append(PuiseuxSeries(tuple(terms), trunc, GaussianRational))
     return out
+
+
+def _scaled(e: Fraction, r: int) -> int:
+    """The exponent e as an int over r, a multiple of its denominator."""
+    return e.numerator * (r // e.denominator)
 
 
 def _pack(p: Sequence[PuiseuxSeries], r: int):
     """Each entry's terms as (e r, D re, D im) ints, and the common D."""
     den = lcm(*(x.denominator for c in p for _, g in c.terms
                 for x in (g.re, g.im)))
-    return [[(e.numerator * (r // e.denominator),
+    return [[(_scaled(e, r),
               g.re.numerator * (den // g.re.denominator),
               g.im.numerator * (den // g.im.denominator))
              for e, g in c.terms] for c in p], den
