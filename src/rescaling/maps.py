@@ -102,10 +102,10 @@ def _smul_exact(p: Sequence[PuiseuxSeries],
 
     Packing.  With r the lcm of the denominators of all exponents and
     finite truncations, an exponent e is the int e r, and so is each T_k.
-    With D the lcm of the coefficient denominators of one
-    polynomial, a coefficient is the Gaussian integer D c.  A pair product
-    is then an int product over D_p D_q, and each output coefficient is
-    reduced to lowest terms once.
+    With D the lcm of the coefficient denominators of one polynomial, a
+    coefficient c is the Gaussian integer D c.  A pair product is then an
+    int product over D_p D_q, and each output coefficient is reduced to
+    lowest terms once.
     """
     n = len(p) + len(q) - 1
     r = lcm(*(e.denominator for c in chain(p, q) for e, _ in c.terms),
