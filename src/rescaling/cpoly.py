@@ -206,15 +206,16 @@ def presultant(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Coefficien
         return p[0] ** n
     if n == 0:
         return q[0] ** m
-    size = m + n
-    pd = list(reversed(p))
-    qd = list(reversed(q))
-    rows = []
-    for i in range(n):
-        rows.append([ftype.zero()] * i + pd + [ftype.zero()] * (n - 1 - i))
-    for i in range(m):
-        rows.append([ftype.zero()] * i + qd + [ftype.zero()] * (m - 1 - i))
-    return field_det(rows)
+    return field_det(sylvester(p, q, ftype.zero()))
+
+
+def sylvester(p: Sequence, q: Sequence, zero) -> List[List]:
+    """The Sylvester matrix of p and q at their formal degrees m and n:
+    n shifted rows of p's coefficients, highest first, then m of q's."""
+    m, n = len(p) - 1, len(q) - 1
+    pd, qd = list(reversed(p)), list(reversed(q))
+    return ([[zero] * i + pd + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + qd + [zero] * (m - 1 - i) for i in range(m)])
 
 
 def field_det(rows: List[List[Coefficient]]) -> Coefficient:
@@ -249,18 +250,41 @@ def roots_numeric(p: Sequence[Union[Coefficient, complex]]) -> List[complex]:
     """All complex roots, with multiplicity, by the companion matrix.
 
     Entries are field coefficients, whose own zero test trims the top, or
-    plain complex numbers, trimmed only where exactly zero.
+    plain complex numbers, trimmed only where exactly zero.  The result is
+    ``np.roots``'s, in its order; numpy is loaded only when a factor of
+    degree >= 2 is left once the exact zeros at both ends are split off.
     """
-    import numpy as np
-
     p = list(p)
     while p and (p[-1] == 0 if isinstance(p[-1], complex) else p[-1].is_zero):
         p.pop()
-    if len(p) <= 1:
-        return []
-    arr = [c if isinstance(c, complex) else c.to_complex()
-           for c in reversed(p)]
-    return [complex(r) for r in np.roots(arr)]
+    arr = [c if isinstance(c, complex) else c.to_complex() for c in p]
+    while arr and arr[-1] == 0:
+        arr.pop()
+    low = 0
+    while low < len(arr) and arr[low] == 0:
+        low += 1
+    rest = len(arr) - 1 - low
+    if rest <= 0:
+        return [0j] * low
+    if rest == 1:
+        return [_np_quot(-arr[low], arr[-1])] + [0j] * low
+    import numpy as np
+
+    return [complex(r) for r in np.roots(arr[::-1])]
+
+
+def _np_quot(a: complex, b: complex) -> complex:
+    """a / b rounded as numpy divides complex numbers (Smith's method with
+    one reciprocal), so a linear root matches ``np.roots`` to the bit."""
+    if abs(b.real) >= abs(b.imag):
+        rat = b.imag / b.real
+        scl = 1.0 / (b.real + b.imag * rat)
+        return complex((a.real + a.imag * rat) * scl,
+                       (a.imag - a.real * rat) * scl)
+    rat = b.real / b.imag
+    scl = 1.0 / (b.imag + b.real * rat)
+    return complex((a.real * rat + a.imag) * scl,
+                   (a.imag * rat - a.real) * scl)
 
 
 def roots_exact(p: Sequence[Coefficient]) -> Tuple[

@@ -20,10 +20,10 @@ from functools import wraps
 from math import inf
 from typing import List, Optional, Tuple
 
-from .config import default_truncation
-from .errors import ParseError
+from .config import ITERATE_DEGREE_CAP, default_truncation
+from .errors import DegenerateFamily, ParseError
 from .coefficients import ApproxComplex, GaussianRational
-from .maps import AffineFrame, MapL, sadd, smul
+from .maps import AffineFrame, MapL, resultant_vanishes, sadd, smul
 from .puiseux import PuiseuxSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([izt])|(->)|([-+*/^(),]))")
@@ -238,6 +238,7 @@ class _Evaluator:
             if n == 0:
                 return self.const(PuiseuxSeries.one(inf, self.ftype))
             val = self.run(base)
+            _check_degree((max(len(val.num), len(val.den)) - 1) * abs(n))
             if n < 0:
                 val, n = val.flipped(), -n
             out = val
@@ -245,6 +246,15 @@ class _Evaluator:
                 out = out * val
             return out
         raise ParseError(f"unknown node {kind!r}")
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a z-degree past the iterate cap before anything that large
+    is expanded."""
+    if degree > ITERATE_DEGREE_CAP:
+        raise ParseError(
+            f"z-degree {degree} exceeds the cap {ITERATE_DEGREE_CAP}",
+            details={"degree": degree, "cap": ITERATE_DEGREE_CAP})
 
 
 def _eval_subst(text: str, ftype: type, trunc) -> PuiseuxSeries:
@@ -277,6 +287,11 @@ def parse_family(text: str, subst: Optional[str] = None,
                  trunc=None) -> MapL:
     """Parse a family of maps in z with coefficients rational in t.
 
+    A z-degree above ``ITERATE_DEGREE_CAP``, in the family or in any power
+    it takes, is a :class:`ParseError`; a family whose numerator and
+    denominator share a factor (their resultant vanishes identically) is a
+    :class:`DegenerateFamily`.
+
     >>> fam = parse_family("z^3 + t/z^2")
     >>> fam.degree
     5
@@ -301,7 +316,13 @@ def parse_family(text: str, subst: Optional[str] = None,
     # strip it so the stated degree is the true one
     while num and den and num[0].is_zero and den[0].is_zero:
         num, den = num[1:], den[1:]
-    return MapL(num, den)
+    fam = MapL(num, den)
+    _check_degree(fam.degree)
+    if resultant_vanishes(fam):
+        raise DegenerateFamily(
+            "numerator and denominator share a factor: the resultant "
+            "vanishes identically")
+    return fam
 
 
 @_depth_checked

@@ -534,11 +534,109 @@ def resultant_series(fam: MapL) -> PuiseuxSeries:
         return p[0] ** n
     if n == 0:
         return q[0] ** m
-    zero = PuiseuxSeries.zero(inf, ftype)
-    pd, qd = list(reversed(p)), list(reversed(q))
-    rows = [[zero] * i + pd + [zero] * (n - 1 - i) for i in range(n)] \
-        + [[zero] * i + qd + [zero] * (m - 1 - i) for i in range(m)]
-    return _series_det(rows)
+    return _series_det(cpoly.sylvester(p, q, PuiseuxSeries.zero(inf, ftype)))
+
+
+# A nonzero resultant is certified by a Sylvester determinant mod the prime
+# P = 2^61 - 31, with i sent to J, a square root of -1 mod P (P = 1 mod 4,
+# and 7 is not a square mod P).  Reduction mod (P, i - J) is a ring map.
+_P = 2 ** 61 - 31
+_J = pow(7, (_P - 1) // 4, _P)
+
+
+def resultant_vanishes(fam: MapL) -> bool:
+    """Whether ``resultant_series(fam)`` is identically zero.
+
+    That series costs time exponential in the degree, so it is computed
+    only for inexact families, and only when no certificate of a nonzero
+    resultant is found.  A ring map
+    sends the Sylvester determinant, a polynomial in the entries, to the
+    determinant of the mapped matrix at the same formal degrees, so a
+    nonzero image proves the resultant nonzero.  An exact Gaussian-rational
+    family, a Laurent polynomial in s = t^(1/r), is sent to s = J mod P.
+    Any other family is scaled, P and Q each by a power of t, to least
+    valuation 0, which scales the resultant by a power of t, and is sent to
+    its residues (mod P when Gaussian-rational).
+    """
+    p, q = _strim(list(fam.num)), _strim(list(fam.den))
+    if len(p) > 1 and len(q) > 1:
+        try:
+            if fam.ftype is ApproxComplex:
+                rows = cpoly.sylvester(*map(_scaled_residues, (p, q)),
+                                       ApproxComplex.zero())
+                certified = not cpoly.field_det(rows).is_zero
+            else:
+                certified = not _singular_mod_p(
+                    cpoly.sylvester(*_specialized_mod_p(p, q), 0))
+        except (PrecisionExhausted, ValueError):
+            certified = False  # a residue hidden, or P divides a denominator
+        if certified:
+            return False
+        if all(c.is_exact and c.ftype is GaussianRational for c in p + q):
+            return _exact_resultant_vanishes(p, q)
+    return resultant_series(fam).is_zero
+
+
+def _exact_resultant_vanishes(p: List[PuiseuxSeries],
+                              q: List[PuiseuxSeries]) -> bool:
+    """Res(P, Q) = 0 for exact Gaussian-rational P, Q of degrees m, n >= 1.
+
+    Each product of one Sylvester entry per row is a Laurent polynomial in
+    s = t^(1/r), so the resultant is a power of s times a polynomial of
+    degree at most n span(P) + m span(Q), span being the spread of a
+    polynomial's exponents in s.  It vanishes identically iff it vanishes
+    at s = 1, 2, ..., one point more than that degree: there it is a
+    determinant over Q(i).  Polynomial time, unlike the series.
+    """
+    r = lcm(*(e.denominator for c in p + q for e, _ in c.terms))
+
+    def span(b: List[PuiseuxSeries]) -> int:
+        ks = [int(e * r) for c in b for e, _ in c.terms]
+        return max(ks) - min(ks)
+
+    zero = GaussianRational.zero()
+    for s in range(1, (len(q) - 1) * span(p) + (len(p) - 1) * span(q) + 2):
+        at_s = [[sum((a * Fraction(s) ** int(e * r) for e, a in c.terms),
+                     zero) for c in b] for b in (p, q)]
+        if not cpoly.field_det(cpoly.sylvester(*at_s, zero)).is_zero:
+            return False
+    return True
+
+
+def _scaled_residues(b: List[PuiseuxSeries]) -> cpoly.Poly:
+    v = block_min_val(b)
+    return [c.shift(-v).residue() for c in b]
+
+
+def _mod_p(g: GaussianRational) -> int:
+    re, im = g.re, g.im
+    return (re.numerator * pow(re.denominator, -1, _P)
+            + _J * im.numerator * pow(im.denominator, -1, _P)) % _P
+
+
+def _specialized_mod_p(p: List[PuiseuxSeries], q: List[PuiseuxSeries]):
+    if all(c.is_exact for c in p + q):
+        r = lcm(*(e.denominator for c in p + q for e, _ in c.terms))
+        return [[sum(_mod_p(a) * pow(_J, int(e * r), _P)
+                     for e, a in c.terms) % _P for c in b] for b in (p, q)]
+    return [[_mod_p(g) for g in _scaled_residues(b)] for b in (p, q)]
+
+
+def _singular_mod_p(rows: List[List[int]]) -> bool:
+    """Whether the determinant vanishes mod P, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    for c in range(n):
+        piv = next((k for k in range(c, n) if rows[k][c]), None)
+        if piv is None:
+            return True
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, _P)
+        for k in range(c + 1, n):
+            f = rows[k][c] * inv % _P
+            if f:
+                rows[k] = [(x - f * y) % _P for x, y in zip(rows[k], rows[c])]
+    return False
 
 
 def _series_det(rows: List[List[PuiseuxSeries]]) -> PuiseuxSeries:

@@ -119,35 +119,36 @@ def _tail_gap_ok(series: PuiseuxSeries, s_mag: float, ram: int) -> bool:
     return s_mag ** (ram * float(gap)) < VERIFY_TAIL_BOUND
 
 
-def _hom_apply(num_vals: Sequence[complex], den_vals: Sequence[complex],
-               p: Hom) -> Optional[Hom]:
+def _hom_apply(num_vals: Sequence, den_vals: Sequence, p: Hom,
+               one) -> Optional[Hom]:
+    """The homogeneous map at p, rescaled so its larger coordinate is 1.
+
+    ``one`` is 1 in the field of the orbit, so mpmath orbits meet no Python
+    complex constant; each term is (a_i * z^i) * w^(d-i), summed upward.
+    """
     z, w = p
-    d = len(num_vals) - 1
-    zn = 1.0 + 0j
-    powers_z = []
-    for _ in range(d + 1):
-        powers_z.append(zn)
+    w_pows = [one]
+    for _ in num_vals[1:]:
+        w_pows.append(w_pows[-1] * w)
+    new_z = new_w = 0
+    zn = one
+    for a, b, wn in zip(num_vals, den_vals, reversed(w_pows)):
+        new_z += a * zn * wn
+        new_w += b * zn * wn
         zn *= z
-    wn = 1.0 + 0j
-    powers_w = []
-    for _ in range(d + 1):
-        powers_w.append(wn)
-        wn *= w
-    new_z = sum(num_vals[i] * powers_z[i] * powers_w[d - i]
-                for i in range(d + 1))
-    new_w = sum(den_vals[i] * powers_z[i] * powers_w[d - i]
-                for i in range(d + 1))
     m = max(abs(new_z), abs(new_w))
     if m == 0.0 or not isfinite(m):
         return None
     return (new_z / m, new_w / m)
 
 
-def _reduced_hom(g: ReducedMap) -> Tuple[List[complex], List[complex]]:
+def _images(g: ReducedMap, points: Sequence[complex]) -> List[Optional[Hom]]:
+    """Each point's image under g, normalized as in :func:`_hom_apply`."""
     d = max(cpoly.degree(g.num), cpoly.degree(g.den), 0)
     num = [c.to_complex() for c in g.num] + [0j] * (d + 1 - len(g.num))
     den = [c.to_complex() for c in g.den] + [0j] * (d + 1 - len(g.den))
-    return num, den
+    one = 1.0 + 0j
+    return [_hom_apply(num, den, (w, one), one) for w in points]
 
 
 def _step_holes(step_limit: ReducedMap) -> List[object]:
@@ -228,26 +229,26 @@ def verify_rescaling(fam: MapL, cycle: RescalingCycle,
             f"{len(grid) - len(included)} of {len(grid)} sample points "
             f"fall near hole pullbacks")
 
-    lim_hom = _reduced_hom(limit)
+    # the control is the limit shifted by 1; it is compared on the orbits
+    # of the smallest s, skipping only points where its own image degenerates
+    shifted = ReducedMap(cpoly.padd(list(limit.num), list(limit.den)),
+                         list(limit.den))
+    lim_imgs, ctrl_imgs = _images(limit, included), _images(shifted, included)
     errors: List[float] = []
     t_samples: List[float] = []
     n_excluded = len(grid) - len(included)
-    for s_mag in s_grid:
+    for k, s_mag in enumerate(s_grid):
         sval = ray * s_mag
         t_samples.append(abs(sval) ** ram)
-        err, dropped = _max_error(fam, cycle, lim_hom, included, sval, ram)
+        targets = [lim_imgs] if k + 1 < len(s_grid) else [lim_imgs, ctrl_imgs]
+        errs, dropped = _max_error(fam, cycle, targets, included, sval, ram)
         n_excluded = max(n_excluded, len(grid) - len(included) + dropped)
         if len(included) - dropped < (1.0 - VERIFY_MAX_DROP) * len(grid):
             raise GridDegenerate(
                 f"{dropped} degenerate evaluations at s={s_mag}")
-        errors.append(err)
+        errors.append(errs[0])
     passed = errors[-1] <= tol
-
-    shifted = ReducedMap(cpoly.padd(list(limit.num), list(limit.den)),
-                         list(limit.den))
-    ctrl_hom = _reduced_hom(shifted)
-    ctrl_err, _ = _max_error(fam, cycle, ctrl_hom, included,
-                             ray * s_grid[-1], ram)
+    ctrl_err = errs[1]
     return VerificationReport(
         period=cycle.period, base=str(cycle.base),
         limit=str(limit), ramification=ram, tol=tol,
@@ -326,33 +327,36 @@ def _cancellation_digits(cycle: RescalingCycle, s_mag: float,
 
 
 def _max_error(fam: MapL, cycle: RescalingCycle,
-               lim_hom: Tuple[List[complex], List[complex]],
+               targets: Sequence[Sequence[Optional[Hom]]],
                points: Sequence[complex], sval: complex,
-               ram: int) -> Tuple[float, int]:
-    """Worst chordal gap between the rescaled return map and the limit.
+               ram: int) -> Tuple[List[float], int]:
+    """Worst chordal gap between the rescaled return map and each target.
 
-    The orbit runs in Python complex while the frame's cancellation stays
-    within 9 digits, and otherwise in mpmath complex numbers carrying 20
-    digits more than it cancels; only the final comparison is in floats.
+    ``targets`` holds, per target map, its image of each point (None where
+    degenerate).  A point counts as dropped when its orbit degenerates or
+    the first target's image does; later targets only skip it.  The orbit
+    runs in Python complex while the frame's cancellation stays within 9
+    digits, and otherwise in mpmath complex numbers carrying 20 digits more
+    than it cancels; only the final comparison is in floats.
     """
     digits = _cancellation_digits(cycle, abs(sval), ram)
     if digits <= 9.0:
-        ctx, to_num, s = nullcontext(), _coeff_complex, sval
+        ctx, to_num, s, one = nullcontext(), _coeff_complex, sval, 1.0 + 0j
     else:
         import mpmath
         ctx = mpmath.workdps(ceil(digits) + 20)
-        to_num, s = _coeff_mpc, mpmath.mpc(sval)
+        to_num, s, one = _coeff_mpc, mpmath.mpc(sval), mpmath.mpc(1)
+    worst = [0.0] * len(targets)
+    dropped = 0
     with ctx:
         num_vals = [_eval_at_s(c, s, ram, to_num) for c in fam.num]
         den_vals = [_eval_at_s(c, s, ram, to_num) for c in fam.den]
         th = s ** _resolved(cycle.base.h, ram)
         cval = _eval_at_s(cycle.base.c, s, ram, to_num)
-        worst = 0.0
-        dropped = 0
-        for w in points:
-            p: Optional[Hom] = (cval + th * w, 1.0 + 0j)
+        for j, w in enumerate(points):
+            p: Optional[Hom] = (cval + th * w, one)
             for _ in range(cycle.period):
-                p = _hom_apply(num_vals, den_vals, p)
+                p = _hom_apply(num_vals, den_vals, p, one)
                 if p is None:
                     break
             if p is None:
@@ -364,9 +368,10 @@ def _max_error(fam: MapL, cycle: RescalingCycle,
                 dropped += 1
                 continue
             p = (complex(p[0] / m), complex(p[1] / m))
-            q = _hom_apply(lim_hom[0], lim_hom[1], (w, 1.0 + 0j))
-            if q is None:
-                dropped += 1
-                continue
-            worst = max(worst, chordal_hom(p, q))
+            for k, imgs in enumerate(targets):
+                q = imgs[j]
+                if q is not None:
+                    worst[k] = max(worst[k], chordal_hom(p, q))
+                elif k == 0:
+                    dropped += 1
     return worst, dropped

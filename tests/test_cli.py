@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import rescaling
 from rescaling import cli
+from rescaling.config import ITERATE_DEGREE_CAP
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
 
 
@@ -128,6 +130,33 @@ def test_deep_nesting_is_a_parse_error(capsys, nest):
                                 "message": "expression nested too deeply"}
 
 
+@pytest.mark.parametrize("family,degree", [
+    ("z^99999", 99999),  # expanding this would run past any timeout
+    ("(z^2+t)^40", 80),  # an intermediate power
+    ("z^3 + t*z^-65", 65),  # a negative power
+    ("(z+1)^64*(z+1)", 65),  # the family itself
+])
+def test_degree_past_cap_is_a_parse_error(capsys, family, degree):
+    start = time.monotonic()
+    code, doc = run(capsys, "reduce", family)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert doc["error"]["type"] == "ParseError"
+    assert doc["error"]["details"] == {"degree": str(degree),
+                                       "cap": str(ITERATE_DEGREE_CAP)}
+
+
+@pytest.mark.parametrize("family", [
+    "(z^2+t)/(z^2+t)",
+    "(z+1)*(z+t)/((z+t)*(z-1))",
+    "(z^2+1.0*t)/(z^2+t)",
+])
+def test_identically_degenerate_family_exits_3(capsys, family):
+    code, doc = run(capsys, "reduce", family)
+    assert code == 3
+    assert doc["error"]["type"] == "DegenerateFamily"
+
+
 def test_closed_stdout_ends_without_traceback():
     src = str(Path(rescaling.__file__).resolve().parents[1])
     proc = subprocess.Popen(
@@ -200,6 +229,23 @@ def test_cli_import_loads_no_numeric_stack():
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    (QUAD0, "--frame", "1"),
+    (CUBIC, "--frame", "3", "--points", "40"),
+], ids=["quad0", "cubic"])
+def test_verify_loads_no_numpy(argv):
+    # the hole and preimage polynomials here have degree <= 2 with their
+    # roots at 0 or found from a linear factor, so numpy is never needed
+    src = str(Path(rescaling.__file__).resolve().parents[1])
+    probe = ("import sys, contextlib, io, rescaling.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = rescaling.cli.main(['verify'] + sys.argv[1:])\n"
+             "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_trunc_flag(capsys):

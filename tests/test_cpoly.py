@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rescaling import GaussianRational
+from rescaling import ApproxComplex, GaussianRational
 from rescaling import cpoly
 
 G = GaussianRational
@@ -68,6 +68,38 @@ def test_poly_str():
 def test_roots_numeric():
     roots = sorted(cpoly.roots_numeric(gp(-1, 0, 1)), key=lambda r: r.real)
     assert abs(roots[0] + 1) < 1e-12 and abs(roots[1] - 1) < 1e-12
+
+
+def _np_roots(p):
+    """The roots as ``np.roots`` gives them, after the same top trim."""
+    import numpy as np
+
+    p = list(p)
+    while p and (p[-1] == 0 if isinstance(p[-1], complex) else p[-1].is_zero):
+        p.pop()
+    if len(p) <= 1:
+        return []
+    arr = [c if isinstance(c, complex) else c.to_complex()
+           for c in reversed(p)]
+    return [complex(r) for r in np.roots(arr)]
+
+
+parts = st.one_of(st.just(0.0), st.integers(-4, 4).map(float),
+                  st.floats(-10, 10, allow_nan=False))
+entries = st.builds(complex, parts, parts)
+
+
+@given(st.integers(0, 3), st.lists(entries, max_size=7), st.integers(0, 2),
+       st.booleans())
+def test_roots_numeric_matches_np_roots(low, core, top, approx):
+    # exact-zero low entries are roots at 0; exact-zero top entries are
+    # trimmed; roots must agree to the bit and in order
+    p = [0j] * low + core + [0j] * top
+    p = p[:7]
+    if approx:
+        p = [ApproxComplex(c.real, c.imag) for c in p]
+    got = cpoly.roots_numeric(p)
+    assert [repr(r) for r in got] == [repr(r) for r in _np_roots(p)]
 
 
 def test_roots_exact():

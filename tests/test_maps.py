@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
-                       PuiseuxSeries, compose_families, compose_reduced,
-                       conjugate, gauss_normalize, iterate_family, maps,
-                       parse_family, parse_frame, precompose_affine,
-                       reduce_family, resultant_series, resultant_valuation)
+from rescaling import (AffineFrame, ApproxComplex, DegenerateFamily,
+                       GaussianRational, MapL, PuiseuxSeries,
+                       compose_families, compose_reduced, conjugate,
+                       gauss_normalize, iterate_family, maps, parse_family,
+                       parse_frame, precompose_affine, reduce_family,
+                       resultant_series, resultant_valuation)
 from rescaling.config import default_truncation
-from rescaling.maps import _smul_exact, _smul_loop
+from rescaling.maps import _smul_exact, _smul_loop, resultant_vanishes, smul
 from .support import family, reduced
 
 t_pow = PuiseuxSeries.t_power
@@ -235,3 +236,35 @@ def test_gauss_normalize_is_projective(num, den):
     a, b = gauss_normalize(fam), gauss_normalize(shifted)
     assert [list(c.terms) for c in a.coeffs()] \
         == [list(c.terms) for c in b.coeffs()]
+
+
+@given(st.lists(st.lists(term, max_size=2), min_size=2, max_size=3),
+       st.lists(st.lists(term, max_size=2), min_size=2, max_size=3),
+       st.lists(st.lists(term, max_size=2), min_size=1, max_size=2),
+       st.sampled_from([inf, 2, 4]), st.booleans())
+def test_resultant_vanishes_matches_series(num, den, common, trunc, approx):
+    # exact families are decided mod a prime at a point, the others by
+    # their residues; a shared factor makes the resultant vanish, and no
+    # certificate may claim otherwise
+    ftype = ApproxComplex if approx else GaussianRational
+
+    def poly(cs):
+        return [PuiseuxSeries.build(ts, trunc, ftype) for ts in cs]
+
+    num, den, common = poly(num), poly(den), poly(common)
+    assume(any(not c.is_zero for c in num))
+    assume(any(not c.is_zero for c in den))
+    for fam in (MapL(num, den), MapL(smul(num, common), smul(den, common))):
+        assert resultant_vanishes(fam) == resultant_series(fam).is_zero
+
+
+@pytest.mark.parametrize("text", [
+    "z*(z+1)^7/(z^8+t)",  # exact; the residues share the factor z
+    "(z+1)^10/(z^10+2+1/(1-t))",  # truncated; the residues are coprime
+])
+def test_resultant_vanishes_decides_without_the_series(monkeypatch, text):
+    # the series determinant takes 8 s for two degree-8 polynomials and
+    # minutes for degree 10
+    fam = parse_family(text)
+    monkeypatch.setattr(maps, "resultant_series", None)
+    assert not resultant_vanishes(fam)

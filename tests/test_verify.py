@@ -2,8 +2,8 @@
 
 import pytest
 
-from rescaling import (MapL, RefuseToSample, chordal_distance,
-                       verify_rescaling, sphere_grid)
+from rescaling import (MapL, ReducedMap, RefuseToSample, chordal_distance,
+                       cpoly, verify_rescaling, sphere_grid)
 from rescaling.verify import chordal_hom
 from .support import cycle, family, reduced
 
@@ -107,3 +107,17 @@ def test_high_cancellation_matches_exact_orbit(key, seed):
     assert rep.max_errors == pytest.approx(errors, rel=1e-6)
     assert rep.control_error == pytest.approx(control, rel=1e-6)
     assert rep.ok
+
+
+@pytest.mark.parametrize("key,seed", [("quad0", "1"), ("cubic", "3")])
+def test_control_shares_the_smallest_s_orbit(key, seed):
+    # the control is compared on the orbits of the last s pass; a check run
+    # on the shifted limit alone, at that s, must give the same number
+    fam, cyc = family(key), cycle(key, seed)
+    rep = verify_rescaling(fam, cyc)
+    lim = cyc.limit
+    shifted = ReducedMap(cpoly.padd(list(lim.num), list(lim.den)),
+                         list(lim.den))
+    alone = verify_rescaling(fam, cyc, s_grid=(min(rep.s_values),),
+                             limit_override=shifted)
+    assert rep.control_error == alone.max_errors[0]
