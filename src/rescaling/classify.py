@@ -56,7 +56,9 @@ def polynomial_like(g: ReducedMap) -> Tuple[bool, Optional[Point]]:
     constant, else a fixed point z0 with R - z0*S = lc*(z - z0)^d.  For exact
     maps the candidate search over Gaussian rational fixed points is
     complete, because a totally ramified point of such a map satisfies a
-    linear relation over the coefficient field.
+    linear relation over the coefficient field, and ``cpoly.roots_exact``
+    returns every fixed point in Q(i).  Of two finite totally invariant
+    points, the witness is the first in ``roots_exact``'s order.
     """
     d = g.degree
     if d < 1:

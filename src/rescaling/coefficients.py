@@ -161,7 +161,7 @@ class GaussianRational:
         if not self.re:
             return _imag_str(self.im)
         sign = "-" if self.im < 0 else "+"
-        return f"{_frac_str(self.re)}{sign}{_imag_str(abs(self.im))[1:] if self.im < 0 else _imag_str(self.im)}"
+        return f"{_frac_str(self.re)}{sign}{_imag_str(abs(self.im))}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -7,8 +7,9 @@ series; the zero test of the coefficient type decides what counts as zero.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .coefficients import ApproxComplex, Coefficient, GaussianRational
 
@@ -289,47 +290,158 @@ def _np_quot(a: complex, b: complex) -> complex:
 
 def roots_exact(p: Sequence[Coefficient]) -> Tuple[
         List[Tuple[GaussianRational, int]], List[Tuple[Poly, int]]]:
-    """Factor an exact polynomial over Q(i).
+    """The roots of an exact polynomial in Q(i), by p-adic lifting.
 
-    Returns (linear part, higher part): Gaussian rational roots with
-    multiplicities, and the irreducible non-linear factors with theirs.
+    Returns (linear part, higher part).  The linear part lists every root
+    in Q(i) with its multiplicity, ordered by multiplicity, then real part,
+    then imaginary part.  The higher part holds, for each multiplicity k
+    with roots outside Q(i), the monic product of the factors of p of
+    multiplicity k that have no root in Q(i): square-free, but not claimed
+    irreducible.
+
+    Yun's algorithm splits p = lc * prod_k s_k^k with each s_k monic,
+    square-free and coprime to the others.  Let s = s_k have degree n, and
+    let D be the least common denominator of its coefficients, so D*s lies
+    in Z[i][z] with leading coefficient D.  Then S(y) = D^(n-1) s(y/D) is
+    monic with coefficients in Z[i].  The search below finds every root of
+    s in Q(i):
+
+    * A root x of s in Q(i) gives the root y = D*x of S.  S is monic over
+      Z[i], so y is integral over Z[i]; Z[i] is integrally closed, so y is
+      a Gaussian integer.  By Cauchy's bound, |y| <= 1 + max_{j<n} |S_j|
+      <= B = 1 + max_{j<n} (|Re S_j| + |Im S_j|), so |Re y|, |Im y| <= B.
+    * For a prime q = 3 (mod 4), Z[i]/(q) is the field F_{q^2}.  The search
+      takes the first such q at which every root of S mod q in F_{q^2} is
+      simple, found by evaluating S at all q^2 residues.  One exists: S is
+      square-free, so its discriminant is a nonzero Gaussian integer, and
+      S is monic, so S mod q has degree n and discriminant disc(S) mod q.
+      Hence S mod q has a repeated root only when q divides the norm of
+      disc(S), which rules out finitely many of the infinitely many primes
+      = 3 (mod 4).
+    * y mod q is a root of S mod q, simple by the choice of q.  By Hensel's
+      lemma a simple root mod q lifts to exactly one root of S mod q^m, so
+      Newton's iteration from y mod q reaches y mod q^m.  Once q^m > 2B, y
+      is the only Gaussian integer in its class with both parts in [-B, B],
+      which the symmetric residues give.
+    * A lift of any other root mod q is kept only if x = y/D satisfies
+      s(x) = 0 exactly, so nothing but a root is returned.
+
+    >>> one = GaussianRational.one()
+    >>> linear, rest = roots_exact([-one * 2, one * 2, -one, one])
+    >>> [(str(x), k) for x, k in linear], [(poly_str(f), k) for f, k in rest]
+    ([('1', 1)], [('z^2 + 2', 1)])
     """
-    import sympy
-
     p = trim(p)
     if len(p) <= 1:
         return [], []
-    z = sympy.Symbol("z")
-    expr = sum(_to_sympy(c) * z ** i for i, c in enumerate(p))
-    poly = sympy.Poly(expr, z, domain="QQ_I")
-    _, factors = poly.factor_list()
-    roots: List[Tuple[GaussianRational, int]] = []
+    one = GaussianRational.one()
+    linear: List[Tuple[GaussianRational, int]] = []
     rest: List[Tuple[Poly, int]] = []
-    for fac, mult in factors:
-        cs = fac.all_coeffs()  # descending
-        if len(cs) == 2:
-            root = _from_sympy(-cs[1] / cs[0])
-            roots.append((root, int(mult)))
-        else:
-            rest.append(([_from_sympy(c) for c in reversed(cs)], int(mult)))
-    return roots, rest
+    for k, s in _squarefree_parts(p):
+        roots = _gaussian_roots(s)
+        linear.extend((x, k) for x in roots)
+        for x in roots:
+            s = pdiv_exact(s, [-x, one])  # monic over monic stays monic
+        if len(s) > 1:
+            rest.append((s, k))
+    linear.sort(key=lambda root: (root[1], root[0].re, root[0].im))
+    return linear, rest
 
 
-def _to_sympy(c: GaussianRational):
-    import sympy
+def _squarefree_parts(p: Poly) -> List[Tuple[int, Poly]]:
+    """Yun's algorithm: the pairs (k, s_k) with s_k of degree >= 1, where
+    p = lc * prod_k s_k^k and the s_k are monic, square-free and pairwise
+    coprime."""
+    b = monic(p)
+    db = pderiv(b)
+    a = pgcd(b, db)
+    b = pdiv_exact(b, a)
+    d = psub(pdiv_exact(db, a), pderiv(b))
+    parts = []
+    k = 1
+    while len(b) > 1:
+        a = pgcd(b, d)
+        b = pdiv_exact(b, a)
+        d = psub(pdiv_exact(d, a), pderiv(b))
+        if len(a) > 1:
+            parts.append((k, a))
+        k += 1
+    return parts
 
-    return sympy.Rational(c.re.numerator, c.re.denominator) \
-        + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+
+def _gaussian_roots(s: Poly) -> List[GaussianRational]:
+    """The roots in Q(i) of a monic square-free s of degree >= 1; the proof
+    that none is missed is in :func:`roots_exact`."""
+    n = len(s) - 1
+    den = 1
+    for c in s:
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    s_int = []  # S_j = D^(n-j) s_j over Z[i], and S_n = 1
+    for j, c in enumerate(s[:-1]):
+        scale = den ** (n - j)
+        s_int.append((int(c.re * scale), int(c.im * scale)))
+    s_int.append((1, 0))
+    ds_int = [(j * a, j * b) for j, (a, b) in enumerate(s_int)][1:]
+    bound = 1 + max(abs(a) + abs(b) for a, b in s_int[:-1])
+    for q in _primes_3_mod_4():
+        residues = _simple_roots_mod(s_int, ds_int, q)
+        if residues is not None:
+            break
+    roots = []
+    for r in residues:
+        y = _newton_lift(s_int, ds_int, r, q, bound)
+        x = GaussianRational(Fraction(y[0], den), Fraction(y[1], den))
+        if peval(s, x).is_zero:
+            roots.append(x)
+    return roots
 
 
-def _from_sympy(el) -> GaussianRational:
-    import sympy
+def _primes_3_mod_4():
+    q = 3
+    while True:
+        if all(q % r for r in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+        q += 4
 
-    if hasattr(el, "x") and hasattr(el, "y"):  # domain element a + b*I
-        return GaussianRational(
-            Fraction(int(el.x.numerator), int(el.x.denominator)),
-            Fraction(int(el.y.numerator), int(el.y.denominator)))
-    ex = sympy.sympify(el)
-    re, im = ex.as_real_imag()
-    return GaussianRational(Fraction(int(re.numerator), int(re.denominator)),
-                            Fraction(int(im.numerator), int(im.denominator)))
+
+def _simple_roots_mod(f: List[Tuple[int, int]], df: List[Tuple[int, int]],
+                      q: int) -> Optional[List[Tuple[int, int]]]:
+    """The roots of f in Z[i]/(q), or None when one of them is repeated."""
+    f = [(a % q, b % q) for a, b in f]
+    df = [(a % q, b % q) for a, b in df]
+    roots = []
+    for u in range(q):
+        for v in range(q):
+            if _geval(f, (u, v), q) == (0, 0):
+                if _geval(df, (u, v), q) == (0, 0):
+                    return None
+                roots.append((u, v))
+    return roots
+
+
+def _newton_lift(f: List[Tuple[int, int]], df: List[Tuple[int, int]],
+                 y: Tuple[int, int], q: int, bound: int) -> Tuple[int, int]:
+    """Lift a simple root y of f mod q to the Gaussian integer with both
+    parts in [-bound, bound] that it is congruent to mod q^m > 2*bound.
+    Each Newton step squares the modulus."""
+    m = q
+    while m <= 2 * bound:
+        m *= m
+        (u, v), (a, b) = _geval(f, y, m), _geval(df, y, m)
+        # f'(y) = a + bi is a unit mod q, with inverse (a - bi)/(a^2 + b^2)
+        inv = pow(a * a + b * b, -1, m)
+        y = ((y[0] - (u * a + v * b) * inv) % m,
+             (y[1] - (v * a - u * b) * inv) % m)
+    half = m // 2
+    return (y[0] - m if y[0] > half else y[0],
+            y[1] - m if y[1] > half else y[1])
+
+
+def _geval(f: List[Tuple[int, int]], y: Tuple[int, int],
+           m: int) -> Tuple[int, int]:
+    """f(y) mod m by Horner's rule, both parts in [0, m)."""
+    u, v = y
+    re = im = 0
+    for a, b in reversed(f):
+        re, im = (re * u - im * v + a) % m, (re * v + im * u + b) % m
+    return re, im

@@ -31,6 +31,13 @@ def test_reduce_plain(capsys):
     assert r["degree"] + r["holes_degree"] == 5
 
 
+def test_reduce_prints_negative_imaginary_part(capsys):
+    code, doc = run(capsys, "reduce", "z^2 + 3 - 2*i + t")
+    assert code == 0
+    assert doc["reduced"]["map"] == "z^2 + (3-2i)"
+    assert doc["reduced"]["num"] == ["3-2i", "0", "1"]
+
+
 def test_reduce_in_frame(capsys):
     # reduce --frame precomposes only; without the inverse frame on the
     # outside, everything the zoom contracts collapses to the constant 0,
@@ -246,6 +253,20 @@ def test_verify_loads_no_numpy(argv):
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("family", [LATTES, QUAD0], ids=["lattes", "quad0"])
+def test_report_loads_no_sympy(family):
+    # the limit maps' exact roots come from p-adic lifting in cpoly
+    src = str(Path(rescaling.__file__).resolve().parents[1])
+    probe = ("import sys, contextlib, io, rescaling.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = rescaling.cli.main(['report'] + sys.argv[1:])\n"
+             "print(code, sorted({'sympy', 'mpmath'} & set(sys.modules)))")
+    argv = [family, "--max-denominator", "7", "--dichotomy"]
+    out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "[]"]
 
 
 def test_trunc_flag(capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,30 @@ small_fractions = st.fractions(
     min_value=-8, max_value=8, max_denominator=6)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
 nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero)
+
+
+_NUMBER = r"\d+(?:/\d+)?"
+_PRINTED = re.compile(
+    rf"(?P<a>-?{_NUMBER})|(?P<b>-?(?:{_NUMBER})?)i"
+    rf"|(?P<re>-?{_NUMBER})(?P<sign>[+-])(?P<im>(?:{_NUMBER})?)i")
+
+
+def _read_printed(text):
+    """A printed Gaussian rational, in the grammar a | bi | a+bi | a-bi."""
+    m = _PRINTED.fullmatch(text)
+    assert m, text
+    if m["a"] is not None:
+        return GaussianRational(Fraction(m["a"]))
+    if m["re"] is None:
+        im = {"": 1, "-": -1}.get(m["b"])
+        return GaussianRational(0, Fraction(m["b"]) if im is None else im)
+    im = Fraction(m["im"]) if m["im"] else 1
+    return GaussianRational(Fraction(m["re"]), -im if m["sign"] == "-" else im)
+
+
+@given(gaussians)
+def test_gaussian_str_round_trip(g):
+    assert _read_printed(str(g)) == g
 
 
 @given(gaussians, gaussians, gaussians)

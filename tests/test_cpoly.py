@@ -3,8 +3,9 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescaling import ApproxComplex, GaussianRational
@@ -113,6 +114,112 @@ def test_roots_exact():
     assert sorted((r.re, r.im) for r, _ in linear) == [(0, -1), (0, 1)]
 
 
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+gaussians = st.builds(G, small_fractions, small_fractions)
+
+
+def _poly(text):
+    """A polynomial in z over Q(i), read by sympy, ascending."""
+    z = sympy.Symbol("z")
+    p = sympy.Poly(sympy.sympify(text), z, domain="QQ_I")
+    return [_from_sympy(c) for c in reversed(p.all_coeffs())]
+
+
+def _from_sympy(c):
+    re, im = sympy.sympify(c).as_real_imag()
+    return G(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _to_sympy(p):
+    z = sympy.Symbol("z")
+    expr = sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+               * z ** i for i, c in enumerate(p))
+    return sympy.Poly(expr, z, domain="QQ_I")
+
+
+def _product(factors):
+    out = [G.one()]
+    for f, k in factors:
+        for _ in range(k):
+            out = cpoly.pmul(out, f)
+    return out
+
+
+def _sympy_factors(p):
+    """Sympy's irreducible factors of p over Q(i), monic, with
+    multiplicities."""
+    _, factors = _to_sympy(p).factor_list()
+    return [(cpoly.monic([_from_sympy(c) for c in reversed(f.all_coeffs())]),
+             int(k)) for f, k in factors]
+
+
+def _check_against_sympy(p, factors=None):
+    """roots_exact(p) against p's factorization over Q(i), sympy's unless
+    given: the same roots with the same multiplicities, the same product of
+    the rest up to a unit, and every rest factor monic, square-free and
+    without a root in Q(i)."""
+    linear, rest = cpoly.roots_exact(p)
+    factors = _sympy_factors(p) if factors is None else factors
+    want_roots = [(-f[0], k) for f, k in factors if len(f) == 2]
+    want_rest = [(f, k) for f, k in factors if len(f) > 2]
+    assert sorted((x.re, x.im, k) for x, k in linear) == \
+        sorted((x.re, x.im, k) for x, k in want_roots)
+    keys = [(k, x.re, x.im) for x, k in linear]
+    assert keys == sorted(keys)
+    # every factor in want_rest is irreducible of degree >= 2, so once the
+    # products agree, no rest factor has a root in Q(i)
+    assert cpoly.monic(_product(rest)) == cpoly.monic(_product(want_rest))
+    for f, _ in rest:
+        assert f[-1].is_one
+        assert cpoly.pgcd(f, cpoly.pderiv(f)) == gp(1)
+    return linear, rest
+
+
+@pytest.mark.parametrize("text, roots, rest", [
+    # the limit maps' fixed-point and Wronskian inputs of report on the
+    # Lattes family at --max-denominator 7
+    ("-z**3 - 1/4", [], [("z**3 + 1/4", 1)]),
+    ("-z**5 - 4", [], [("z**5 + 4", 1)]),
+    ("-3*z**2/4 + z", [("0", 1), ("4/3", 1)], []),
+    ("z**2/4 - z/2", [("0", 1), ("2", 1)], []),
+    # z(z - 21) and z(z - 21i): their roots meet mod 3 and mod 7, so the
+    # search must move on to p = 11
+    ("z*(z - 21)", [("0", 1), ("21", 1)], []),
+    ("z*(z - 21*I)", [("0", 1), ("21i", 1)], []),
+    ("5", [], []),
+    ("(2 + I)*z - 3", [("6/5-3/5i", 1)], []),
+    ("z**12*(z**2 + 2)", [("0", 12)], [("z**2 + 2", 1)]),
+    ("(z - 1)**2*(z**2 + 1)**3*(z**2 - 3)**3*(z**2 + 2)",
+     [("1", 2), ("-i", 3), ("i", 3)], [("z**2 + 2", 1), ("z**2 - 3", 3)]),
+])
+def test_roots_exact_cases(text, roots, rest):
+    linear, got_rest = _check_against_sympy(_poly(text))
+    assert [(str(x), k) for x, k in linear] == roots
+    assert got_rest == [(_poly(f), k) for f, k in rest]
+
+
+gaussian_roots = st.lists(st.tuples(gaussians, st.integers(1, 3)),
+                          max_size=3)
+cofactors = st.lists(st.lists(gaussians, min_size=2, max_size=4), max_size=2)
+
+
+# sympy factors a quadratic over Q(i) in tens of milliseconds, so this test
+# runs fewer examples than the suite profile's default
+@settings(max_examples=50)
+@given(gaussian_roots, cofactors, gaussians.filter(bool))
+def test_roots_exact_matches_sympy(roots, extra, lead):
+    # p factors over Q(i) as its pieces do, so sympy factors each piece:
+    # factoring p itself would cost most of the suite's time
+    pieces = [([-x, G.one()], k) for x, k in roots] + [(f, 1) for f in extra]
+    factors = {}
+    for piece, k in pieces:
+        for f, j in _sympy_factors(piece):
+            factors[tuple(f)] = factors.get(tuple(f), 0) + k * j
+    p = cpoly.pscale(_product(pieces), lead)
+    _check_against_sympy(p, [(list(f), k) for f, k in factors.items()])
+
+
 def _det_by_permutations(rows):
     n = len(rows)
     total = G.zero()
@@ -135,10 +242,6 @@ def _det_by_permutations(rows):
             prod = prod * rows[i][perm[i]]
         total = total + (prod if sign > 0 else -prod)
     return total
-
-
-small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-gaussians = st.builds(G, small_fractions, small_fractions)
 
 
 @given(st.lists(st.lists(gaussians, min_size=3, max_size=3),
