@@ -2,7 +2,7 @@
 
 Two realizations of the residue field:
 
-* :class:`GaussianRational` -- exact a + b*i with Fraction components.
+* :class:`GaussianRational` -- exact (x + y*i)/d over Python ints.
   Supports decidable zero tests, hashing, and exact division.
 * :class:`ApproxComplex` -- a complex double with an explicit zero
   threshold, for families whose constants are not Gaussian rational.
@@ -17,6 +17,7 @@ once against the shared surface (``+ - * /``, ``is_zero``, ``inverse``,
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from .config import APPROX_ZERO_THRESHOLD
@@ -26,7 +27,13 @@ RationalLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """An element of Q(i), kept in lowest terms by Fraction.
+    """An element of Q(i), stored as (x + y*i)/d over Python ints.
+
+    The triple is canonical: d > 0 and gcd(x, y, d) = 1, so equal numbers
+    have equal triples.  Integer code may read ``x``, ``y`` and ``d``
+    directly and build results with :meth:`from_ints`; ``re`` and ``im``
+    give the parts as Fractions.  Arithmetic makes at most one
+    ``math.gcd`` call per result.
 
     >>> a = GaussianRational(1, 2)
     >>> b = GaussianRational(Fraction(1, 3))
@@ -36,19 +43,31 @@ class GaussianRational:
     1
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.x, self.y, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # both parts are in lowest terms, so gcd(x, y, d) = 1 already
+        self.x = re.numerator * (d // re.denominator)
+        self.y = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @classmethod
+    def from_ints(cls, x: int, y: int, d: int) -> GaussianRational:
+        """(x + y*i)/d for ints x, y and d > 0, in lowest terms."""
+        return _canon(x, y, d)
 
     @classmethod
     def zero(cls) -> GaussianRational:
-        return cls(0, 0)
+        return _make(0, 0, 1)
 
     @classmethod
     def one(cls) -> GaussianRational:
-        return cls(1, 0)
+        return _make(1, 0, 1)
 
     @classmethod
     def coerce(cls, value) -> GaussianRational:
@@ -60,42 +79,62 @@ class GaussianRational:
             f"cannot coerce {type(value).__name__} into GaussianRational")
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     @property
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self.x == 1 and not self.y and self.d == 1
 
     def abs2(self) -> Fraction:
         """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _make(self.x, -self.y, self.d)
 
     def inverse(self) -> GaussianRational:
-        n = self.abs2()
+        x, y, d = self.x, self.y, self.d
+        n = x * x + y * y
         if not n:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _canon(d * x, -d * y, n)
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.x / self.d, self.y / self.d)
 
     def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        d, od = self.d, other.d
+        if d == od:
+            return _canon(self.x + other.x, self.y + other.y, d)
+        return _canon(self.x * od + other.x * d, self.y * od + other.y * d,
+                      d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        d, od = self.d, other.d
+        if d == od:
+            return _canon(self.x - other.x, self.y - other.y, d)
+        return _canon(self.x * od - other.x * d, self.y * od - other.y * d,
+                      d * od)
 
     def __rsub__(self, other):
         other = _as_gaussian(other)
@@ -104,67 +143,92 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        x, y, ox, oy = self.x, self.y, other.x, other.y
+        return _canon(x * ox - y * oy, x * oy + y * ox, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        if type(other) is not GaussianRational:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        x, y, ox, oy = self.x, self.y, other.x, other.y
+        n = ox * ox + oy * oy
+        if not n:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        od = other.d
+        return _canon((x * ox + y * oy) * od, (y * ox - x * oy) * od,
+                      self.d * n)
 
     def __rtruediv__(self, other):
         other = _as_gaussian(other)
         if other is None:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.x, -self.y, self.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussianRational.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        x, y, bx, by = 1, 0, self.x, self.y
+        k = n
+        while k:
+            if k & 1:
+                x, y = x * bx - y * by, x * by + y * bx
+            bx, by = bx * bx - by * by, 2 * bx * by
+            k >>= 1
+        return _canon(x, y, self.d ** n)
 
     def __eq__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _as_gaussian(other)
+            if other is None:
+                return NotImplemented
+        return self.x == other.x and self.y == other.y and self.d == other.d
 
     def __hash__(self):
+        if self.d == 1:  # hash(Fraction(n)) == hash(n)
+            return hash((self.x, self.y))
         return hash((self.re, self.im))
 
     def __bool__(self):
         return not self.is_zero
 
     def __str__(self):
-        if not self.im:
-            return _frac_str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "-" if self.im < 0 else "+"
-        return f"{_frac_str(self.re)}{sign}{_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if not im:
+            return _frac_str(re)
+        if not re:
+            return _imag_str(im)
+        sign = "-" if im < 0 else "+"
+        return f"{_frac_str(re)}{sign}{_imag_str(abs(im))}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _make(x: int, y: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple already in lowest terms."""
+    g = object.__new__(GaussianRational)
+    g.x, g.y, g.d = x, y, d
+    return g
+
+
+def _canon(x: int, y: int, d: int) -> GaussianRational:
+    """(x + y*i)/d, d > 0, with the common factor divided out."""
+    g = gcd(d, x, y)  # stops early once a partial gcd is 1
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    return _make(x, y, d)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -182,8 +246,10 @@ def _imag_str(q: Fraction) -> str:
 def _as_gaussian(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     if isinstance(value, ApproxComplex):
         raise MixedCoefficients(
             "exact and approximate coefficients in one operation")

@@ -25,6 +25,12 @@ ADVANCE_SLACK = 4
 #: Denominator cap for frame exponents along an orbit.
 RAMIFICATION_CAP = 512
 
+#: Cap, in bits, on the height of frame centers along an orbit: the largest
+#: bit length of x, y or d over the center's coefficients (x + y*i)/d.
+#: Well below the 14284 bits of Python's 4300-digit int-to-str limit, so
+#: the last frame under the cap can always be printed.
+CENTER_HEIGHT_CAP = 4096
+
 #: Critical-orbit iteration budget and numeric cluster tolerance.
 PCF_MAX_ITER = 64
 PCF_CLUSTER_TOL = 1e-9

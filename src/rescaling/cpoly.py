@@ -8,7 +8,6 @@ series; the zero test of the coefficient type decides what counts as zero.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .coefficients import ApproxComplex, Coefficient, GaussianRational
@@ -72,26 +71,36 @@ def pmul(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
 
 def pdivmod(p: Sequence[Coefficient],
             q: Sequence[Coefficient]) -> Tuple[Poly, Poly]:
-    """Quotient and remainder of p by q over the coefficient field."""
+    """Quotient and remainder of p by q over the coefficient field.
+
+    A step subtracts c z^k q from the remainder: it updates the deg q
+    entries below the top one, which cancels and is popped.  Each product
+    is added to zero first, as in a product polynomial's sums, so a -0.0
+    part of an approximate product counts as +0.0.
+    """
     q = trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
+    rem = trim(p)
     lead = q[-1]
     dq = len(q) - 1
+    zero = type(lead).zero()
+    approx = isinstance(lead, ApproxComplex)
     quot: Poly = []
-    while len(trim(rem)) - 1 >= dq and trim(rem):
-        rem = trim(rem)
+    while len(rem) > dq:
         k = len(rem) - 1 - dq
-        c = rem[-1] / lead
-        quot = padd(quot, _monomial(c, k))
-        rem = psub(rem, pmul(q, _monomial(c, k)))
-        rem = rem[:dq + k]  # the leading term cancels by construction
-    return trim(quot), trim(rem)
-
-
-def _monomial(c: Coefficient, k: int) -> Poly:
-    return [type(c).zero()] * k + [c]
+        c = rem.pop() / lead
+        if quot:
+            quot[k] = quot[k] + c
+        else:
+            quot = [zero] * k + [c]
+        if not c.is_zero:
+            for i in range(dq):
+                prod = q[i] * c
+                rem[k + i] = rem[k + i] - (zero + prod if approx else prod)
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return trim(quot), rem
 
 
 def pdiv_exact(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
@@ -373,13 +382,11 @@ def _gaussian_roots(s: Poly) -> List[GaussianRational]:
     """The roots in Q(i) of a monic square-free s of degree >= 1; the proof
     that none is missed is in :func:`roots_exact`."""
     n = len(s) - 1
-    den = 1
-    for c in s:
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    den = math.lcm(*(c.d for c in s))
     s_int = []  # S_j = D^(n-j) s_j over Z[i], and S_n = 1
     for j, c in enumerate(s[:-1]):
-        scale = den ** (n - j)
-        s_int.append((int(c.re * scale), int(c.im * scale)))
+        scale = den ** (n - j) // c.d
+        s_int.append((c.x * scale, c.y * scale))
     s_int.append((1, 0))
     ds_int = [(j * a, j * b) for j, (a, b) in enumerate(s_int)][1:]
     bound = 1 + max(abs(a) + abs(b) for a, b in s_int[:-1])
@@ -390,7 +397,7 @@ def _gaussian_roots(s: Poly) -> List[GaussianRational]:
     roots = []
     for r in residues:
         y = _newton_lift(s_int, ds_int, r, q, bound)
-        x = GaussianRational(Fraction(y[0], den), Fraction(y[1], den))
+        x = GaussianRational.from_ints(y[0], y[1], den)
         if peval(s, x).is_zero:
             roots.append(x)
     return roots

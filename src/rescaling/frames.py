@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .config import ADVANCE_SLACK, RAMIFICATION_CAP, default_truncation
+from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, RAMIFICATION_CAP,
+                     default_truncation)
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      DegreeCapExceeded, PrecisionExhausted,
                      RamificationCapExceeded, ToleranceAmbiguous)
@@ -49,6 +50,21 @@ class FrameClass:
     def key(self):
         """Hashable identity; exact coefficients only."""
         return (self.h, self.c.terms)
+
+    def bits_key(self):
+        """Hashable identity of an approximate class: the exact float bits
+        of every term, so classes with equal keys advance alike to the
+        bit."""
+        return (self.h, tuple((e, c.re.hex(), c.im.hex(),
+                               c.zero_threshold.hex())
+                              for e, c in self.c.terms))
+
+    def height(self) -> int:
+        """Largest bit length of x, y or d over the exact center's
+        coefficients (x + y*i)/d; 0 for the zero center."""
+        return max((max(g.x.bit_length(), g.y.bit_length(),
+                        g.d.bit_length()) for _, g in self.c.terms),
+                   default=0)
 
     def __eq__(self, other):
         if not isinstance(other, FrameClass):
@@ -322,26 +338,40 @@ def _escape(fam: MapL, fc: FrameClass, step: int,
 
 
 def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
-               max_steps: int = 64) -> RescalingCycle:
+               max_steps: int = 64,
+               memo: Optional[Dict[tuple, StepResult]] = None
+               ) -> RescalingCycle:
     """Advance a seed frame until its class orbit repeats.
 
     The limit is the composition of the step limits around the cycle,
     innermost first; its degree must equal the product of the step degrees.
     The seed and every target are tested against :func:`escape_bound`; the
     first frame below it raises :class:`AdvanceNotTerminating` with the
-    certificate in ``details``.  Orbits the certificate does not cover end
-    at the ``max_steps`` cap.
+    certificate in ``details``.  So does an exact orbit whose next center
+    is higher than ``CENTER_HEIGHT_CAP`` bits; ``details`` then holds the
+    step, that height, and the last frame under the cap.  Orbits neither
+    covers end at the ``max_steps`` cap.
+
+    ``memo`` maps source classes (:meth:`FrameClass.key` when exact,
+    :meth:`FrameClass.bits_key` otherwise) to their advance, so calls that
+    share it advance from each class once.
     """
     exact = fam.ftype is GaussianRational
     bound = escape_bound(fam)
     fc = canonicalize(seed)
     if bound is not None and frame_size(fc) < bound:
         raise _escape(fam, fc, 0, bound)
+    if memo is None:
+        memo = {}
     orbit: List[FrameClass] = [fc]
     steps: List[StepResult] = []
     index: Dict[tuple, int] = {fc.key(): 0} if exact else {}
     while len(steps) < max_steps:
-        st = advance(fam, orbit[-1])
+        src = orbit[-1]
+        step_key = src.key() if exact else src.bits_key()
+        st = memo.get(step_key)
+        if st is None:
+            st = memo[step_key] = advance(fam, src)
         steps.append(st)
         tgt = st.target
         if exact:
@@ -365,6 +395,13 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
                                   tuple(steps[:j]), limit)
         if bound is not None and frame_size(tgt) < bound:
             raise _escape(fam, tgt, len(steps), bound)
+        height = tgt.height() if exact else 0
+        if height > CENTER_HEIGHT_CAP:
+            raise AdvanceNotTerminating(
+                f"advance {len(steps)} reached a frame center of height "
+                f"{height} bits, past the cap of {CENTER_HEIGHT_CAP}",
+                details={"step": len(steps), "height": height,
+                         "cap": CENTER_HEIGHT_CAP, "frame": str(src)})
         orbit.append(tgt)
         if exact:
             index[tgt.key()] = len(orbit) - 1
@@ -433,10 +470,11 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
                        max_steps: int = 64) -> ScanResult:
     """Run every seed frame (p/q, 0), 0 < p/q < 1, q <= max_denominator.
 
-    Distinct seeds landing on the same cycle are reported once.  Orbits that
-    reach the certified escape region of :func:`escape_bound`, or never
-    repeat within ``max_steps``, count as escaped; other failures are
-    recorded per seed with the error message.
+    Seeds share one memo of advances, so each frame class is advanced from
+    at most once per scan.  Distinct seeds landing on the same cycle are
+    reported once.  Orbits that reach the certified escape region of
+    :func:`escape_bound`, or never repeat within ``max_steps``, count as
+    escaped; other failures are recorded per seed with the error message.
     """
     ftype = fam.ftype
     exact = ftype is GaussianRational
@@ -445,6 +483,7 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
                     for q in range(2, max_denominator + 1)
                     for p in range(1, q)})
     out = ScanResult(seeds_scanned=len(seeds))
+    memo: Dict[tuple, StepResult] = {}
     seen_keys: set = set()
     seen_cycles: List[RescalingCycle] = []
 
@@ -463,7 +502,7 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
 
     for h in seeds:
         try:
-            cycle = find_cycle(fam, AffineFrame(h, zero), max_steps)
+            cycle = find_cycle(fam, AffineFrame(h, zero), max_steps, memo)
         except AdvanceNotTerminating:
             out.escaped.append(h)
             continue

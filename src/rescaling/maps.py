@@ -157,8 +157,7 @@ def _smul_exact(p: Sequence[PuiseuxSeries],
                 ex = exps.get(e)
                 if ex is None:
                     ex = exps[e] = Fraction(e, r)
-                terms.append((ex, GaussianRational(Fraction(re, den),
-                                                   Fraction(im, den))))
+                terms.append((ex, GaussianRational.from_ints(re, im, den)))
         trunc = inf if limits[k] == inf else Fraction(limits[k], r)
         out.append(PuiseuxSeries(tuple(terms), trunc, GaussianRational))
     return out
@@ -171,11 +170,8 @@ def _scaled(e: Fraction, r: int) -> int:
 
 def _pack(p: Sequence[PuiseuxSeries], r: int):
     """Each entry's terms as (e r, D re, D im) ints, and the common D."""
-    den = lcm(*(x.denominator for c in p for _, g in c.terms
-                for x in (g.re, g.im)))
-    return [[(_scaled(e, r),
-              g.re.numerator * (den // g.re.denominator),
-              g.im.numerator * (den // g.im.denominator))
+    den = lcm(*(g.d for c in p for _, g in c.terms))
+    return [[(_scaled(e, r), g.x * (k := den // g.d), g.y * k)
              for e, g in c.terms] for c in p], den
 
 
@@ -609,9 +605,7 @@ def _scaled_residues(b: List[PuiseuxSeries]) -> cpoly.Poly:
 
 
 def _mod_p(g: GaussianRational) -> int:
-    re, im = g.re, g.im
-    return (re.numerator * pow(re.denominator, -1, _P)
-            + _J * im.numerator * pow(im.denominator, -1, _P)) % _P
+    return (g.x + _J * g.y) * pow(g.d, -1, _P) % _P
 
 
 def _specialized_mod_p(p: List[PuiseuxSeries], q: List[PuiseuxSeries]):

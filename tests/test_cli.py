@@ -10,7 +10,7 @@ import pytest
 
 import rescaling
 from rescaling import cli
-from rescaling.config import ITERATE_DEGREE_CAP
+from rescaling.config import CENTER_HEIGHT_CAP, ITERATE_DEGREE_CAP
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
 
 
@@ -190,6 +190,34 @@ def test_escape_payload_carries_certificate(capsys):
     assert err["type"] == "AdvanceNotTerminating"
     assert err["details"] == {"frame": "(-1, 0)", "step": "6", "size": "-1",
                               "bound": "0", "drift": "m -> 3m - 1"}
+
+
+@pytest.mark.parametrize("family, step, height", [
+    ("z^2 + 1 + t", "14", "4827"),
+    ("(z+1)^4/(z^4+2+t)", "7", "5393"),
+])
+def test_center_height_guard_ends_wandering_orbit(capsys, family, step,
+                                                  height):
+    # the residues of the centers run 0 -> 1 -> 2 -> 5 -> 26 -> ... under
+    # z^2 + 1, so their height doubles at every advance
+    start = time.monotonic()
+    code, doc = run(capsys, "orbit", family, "--frame", "1")
+    assert time.monotonic() - start < 5
+    assert code == 3
+    err = doc["error"]
+    assert err["type"] == "AdvanceNotTerminating"
+    details = err["details"]
+    assert (details["step"], details["height"]) == (step, height)
+    assert details["cap"] == str(CENTER_HEIGHT_CAP)
+    assert details["frame"].startswith("(")
+
+
+def test_scan_of_wandering_family_ends_in_one_document(capsys):
+    code = cli.main(["scan", "z^2 + 1 + t", "--max-denominator", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code in (0, 3)
+    if code == 0:
+        assert doc["scan"]["escaped"] == ["1/2"]
 
 
 def test_report_and_scan_share_the_scan_object(capsys):

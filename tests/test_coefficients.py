@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -118,3 +119,104 @@ def test_approx_zero_threshold():
     # doubles a hair above zero still count as zero for pivoting decisions
     assert ApproxComplex(1e-15, 0.0).is_zero
     assert not ApproxComplex(1e-9, 0.0).is_zero
+
+
+# -- the integer triple against a Fraction-pair reference ---------------------
+
+
+class _Pair:
+    """a + b*i as two Fractions: the reference for GaussianRational."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _Pair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _Pair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _Pair(self.re * o.re - self.im * o.im,
+                     self.re * o.im + self.im * o.re)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return _Pair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        out, base = _Pair(1), self if n >= 0 else self.inverse()
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __str__(self):
+        def imag(q):
+            return {1: "i", -1: "-i"}.get(q, f"{q}i")
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return imag(self.im)
+        sign = "-" if self.im < 0 else "+"
+        return f"{self.re}{sign}{imag(abs(self.im))}"
+
+
+def _same(g, ref):
+    """g equals the reference in value, triple, printing, hash and floats."""
+    assert (g.re, g.im) == (ref.re, ref.im)
+    assert g.d > 0 and gcd(g.x, g.y, g.d) == 1
+    assert str(g) == str(ref)
+    assert repr(g) == f"GaussianRational({ref.re!r}, {ref.im!r})"
+    assert hash(g) == hash((ref.re, ref.im))
+    z, w = g.to_complex(), complex(ref.re, ref.im)
+    assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+    assert g.is_zero == (not ref.re and not ref.im) == (not g)
+    assert g.is_one == (ref.re == 1 and not ref.im)
+
+
+wide_fractions = st.one_of(
+    small_fractions,
+    st.fractions(min_value=-10 ** 40, max_value=10 ** 40,
+                 max_denominator=10 ** 40),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]))
+rationals = st.one_of(st.integers(-9, 9), wide_fractions)
+
+
+@given(wide_fractions, wide_fractions, wide_fractions, wide_fractions,
+       rationals, st.integers(-4, 4))
+def test_gaussian_matches_fraction_pairs(ar, ai, br, bi, q, n):
+    a, b = GaussianRational(ar, ai), GaussianRational(br, bi)
+    ra, rb, rq = _Pair(ar, ai), _Pair(br, bi), _Pair(q)
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(a * b, ra * rb)
+    _same(-a, _Pair(0) - ra)
+    _same(a.conjugate(), _Pair(ar, -ai))
+    assert a.abs2() == ar * ar + ai * ai
+    # ints and Fractions coerce on either side
+    _same(a + q, ra + rq)
+    _same(q + a, rq + ra)
+    _same(a - q, ra - rq)
+    _same(q - a, rq - ra)
+    _same(a * q, ra * rq)
+    _same(q * a, rq * ra)
+    assert (a == q) == (ra.re == rq.re and ra.im == rq.im)
+    assert (a == b) == ((ar, ai) == (br, bi))
+    if not b.is_zero:
+        _same(a / b, ra / rb)
+        _same(b.inverse(), rb.inverse())
+        _same(b ** n, rb ** n)
+        _same(q / b, rq / rb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    if q:
+        _same(a / q, ra / rq)
+    if n >= 0 or not a.is_zero:
+        _same(a ** n, ra ** n)

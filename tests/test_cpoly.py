@@ -291,3 +291,66 @@ def test_division_identity(p_ints, q_ints, _unused):
     quot, rem = cpoly.pdivmod(p, q)
     assert cpoly.padd(cpoly.pmul(quot, q), rem) == cpoly.trim(p)
     assert cpoly.degree(rem) < cpoly.degree(q) or rem == []
+
+
+def _pdivmod_reference(p, q):
+    """The division loop that subtracts a full product per step."""
+    q = cpoly.trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    lead = q[-1]
+    dq = len(q) - 1
+    quot = []
+    while len(cpoly.trim(rem)) - 1 >= dq and cpoly.trim(rem):
+        rem = cpoly.trim(rem)
+        k = len(rem) - 1 - dq
+        c = rem[-1] / lead
+        mono = [type(c).zero()] * k + [c]
+        quot = cpoly.padd(quot, mono)
+        rem = cpoly.psub(rem, cpoly.pmul(q, mono))
+        rem = rem[:dq + k]
+    return cpoly.trim(quot), cpoly.trim(rem)
+
+
+# signed zeros and small integers make exact cancellations and -0.0 parts
+float_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                        st.floats(-4, 4, allow_nan=False))
+approx_coeffs = st.builds(ApproxComplex, float_parts, float_parts)
+exact_coeffs = st.builds(
+    G, *[st.fractions(min_value=-4, max_value=4, max_denominator=3)] * 2)
+
+
+def _check_pdivmod(p, q):
+    if cpoly.is_zero_poly(q):
+        with pytest.raises(ZeroDivisionError):
+            cpoly.pdivmod(p, q)
+        return
+    got = cpoly.pdivmod(p, q)
+    want = _pdivmod_reference(p, q)
+    assert [list(map(repr, x)) for x in got] \
+        == [list(map(repr, x)) for x in want]
+
+
+@pytest.mark.parametrize("coeffs", [exact_coeffs, approx_coeffs],
+                         ids=["exact", "approx"])
+@given(data=st.data())
+def test_pdivmod_matches_reference_loop(coeffs, data):
+    _check_pdivmod(data.draw(st.lists(coeffs, max_size=9)),
+                   data.draw(st.lists(coeffs, min_size=1, max_size=5)))
+
+
+A = ApproxComplex
+
+
+@pytest.mark.parametrize("p, q", [
+    # a quotient with a -0.0 part
+    ([A(0.0, -1.0)], [A(0.0, 1.0)]),
+    ([A(1.0), A(0.0, -1.0), A(0.0, 2.0)], [A(-1.0), A(0.0, 1.0)]),
+    # -0.0 in the remainder minus a -0.0 part of a product
+    ([A(-1.0, -0.0), A(1.0, -1.0), A(-0.0, 0.5)], [A(-0.0), A(-1.0, 0.5)]),
+    # a quotient below the zero threshold leaves the remainder untouched
+    ([A(1.0), A(3e-12)], [A(1.0), A(4.0)]),
+])
+def test_pdivmod_matches_reference_loop_cases(p, q):
+    _check_pdivmod(p, q)

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 import rescaling.frames as frames_mod
 from rescaling import (AdvanceNotTerminating, AffineFrame, ApproxComplex,
-                       PrecisionExhausted, PuiseuxSeries,
-                       RamificationCapExceeded, RescalingError, advance,
-                       canonicalize, compose_reduced, cycle_limit_crosscheck,
-                       equivalent_via_reduction, escape_bound, find_cycle,
-                       frame_size, monomial_seed_scan, parse_family,
-                       parse_frame, period_set_check)
+                       GaussianRational, PrecisionExhausted, PuiseuxSeries,
+                       RamificationCapExceeded, RescalingError, ScanResult,
+                       advance, canonicalize, compose_reduced,
+                       cycle_limit_crosscheck, equivalent_via_reduction,
+                       escape_bound, find_cycle, frame_size,
+                       monomial_seed_scan, parse_family, parse_frame,
+                       period_set_check)
 from rescaling.config import APPROX_ZERO_THRESHOLD
-from .support import QUAD0, cycle, family, reduced, scan
+from .support import MCMULLEN, QUAD0, cycle, family, reduced, scan
 
 t_pow = PuiseuxSeries.t_power
 
@@ -358,6 +359,49 @@ def test_scan_matches_capped_advance_loop():
     assert res.escaped == escaped
     assert {h: msg.split(":")[0] for h, msg in res.failed.items()} == failed
     assert len(escaped) == 26 and not failed
+
+
+def _scan_by_seed(fam, max_denominator):
+    """The scan's result from one memo-free find_cycle call per seed."""
+    zero = PuiseuxSeries.zero(inf, fam.ftype)
+    seeds = sorted({Fraction(p, q) for q in range(2, max_denominator + 1)
+                    for p in range(1, q)})
+    out = ScanResult(seeds_scanned=len(seeds))
+    for h in seeds:
+        try:
+            cyc = find_cycle(fam, AffineFrame(h, zero))
+        except AdvanceNotTerminating:
+            out.escaped.append(h)
+            continue
+        except RescalingError as exc:
+            out.failed[h] = f"{type(exc).__name__}: {exc}"
+            continue
+        if any(fr == cyc.base for old in out.cycles + out.degree_one
+               for fr in old.frames):
+            continue
+        (out.degree_one if cyc.is_trivial else out.cycles).append(cyc)
+    return out
+
+
+@pytest.mark.parametrize("text", [MCMULLEN, MCMULLEN.replace("t", "1.0*t")],
+                         ids=["exact", "float"])
+def test_scan_advances_each_class_once(monkeypatch, text):
+    fam = parse_family(text)
+    exact = fam.ftype is GaussianRational
+    sources = []
+    real = frames_mod.advance
+
+    def counting(fam_, fr):
+        fc = canonicalize(fr)
+        sources.append(fc.key() if exact else fc.bits_key())
+        return real(fam_, fr)
+
+    monkeypatch.setattr(frames_mod, "advance", counting)
+    res = monomial_seed_scan(fam, 11)
+    assert len(sources) == len(set(sources)) == 42
+    monkeypatch.undo()
+    assert res == _scan_by_seed(fam, 11)
+    assert len(res.cycles) == 4 and len(res.escaped) == 26
 
 
 # -- float families ----------------------------------------------------------
