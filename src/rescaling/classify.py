@@ -278,18 +278,11 @@ def _apply_numeric(num: List[complex], den: List[complex],
         if dn < dd:
             return 0j
         return num[-1] / den[-1]
-    sz = _horner(den, z)
+    sz = cpoly.peval(den, z)
     scale = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(den))
     if abs(sz) <= 1e-12 * max(scale, 1e-300):
         return INFINITY
-    return _horner(num, z) / sz
-
-
-def _horner(p: List[complex], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
+    return cpoly.peval(num, z) / sz
 
 
 def _pt_str(z: object) -> str:

@@ -4,7 +4,8 @@ One subcommand per process, one JSON document on stdout.  Exit codes: 0 on
 success, 2 when a consistency assertion or parse error fires, 3 when
 precision, termination, or sampling gives out.  The default series
 truncation honours the RESCALING_TRUNC environment variable; --trunc
-overrides it, and a run that exhausts precision is retried with doubled
+overrides it.  Either must be a positive integer, or the run ends with exit
+code 2.  A run that exhausts precision is retried with doubled
 truncation a few times before giving up.  A reader that closes stdout
 early gets no traceback, and the exit code stays the command's own.
 """
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import cpoly
@@ -325,7 +325,11 @@ def _error_payload(exc: Exception) -> Dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    trunc = Fraction(args.trunc) if args.trunc else default_truncation()
+    try:
+        trunc = default_truncation(args.trunc)
+    except ValueError as exc:
+        _emit(_error_payload(exc))
+        return 2
     retries = 0
     while True:
         try:

@@ -206,11 +206,11 @@ class GaussianRational:
     def __str__(self):
         re, im = self.re, self.im
         if not im:
-            return _frac_str(re)
+            return str(re)
         if not re:
             return _imag_str(im)
         sign = "-" if im < 0 else "+"
-        return f"{_frac_str(re)}{sign}{_imag_str(abs(im))}"
+        return f"{re}{sign}{_imag_str(abs(im))}"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -229,10 +229,6 @@ def _canon(x: int, y: int, d: int) -> GaussianRational:
     if g != 1:
         x, y, d = x // g, y // g, d // g
     return _make(x, y, d)
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q)
 
 
 def _imag_str(q: Fraction) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from typing import Optional
 
 ENV_TRUNC = "RESCALING_TRUNC"
 
@@ -53,16 +54,21 @@ APPROX_ZERO_THRESHOLD = 1e-12
 PARSE_RETRY_MAX = 4
 
 
-def default_truncation() -> Fraction:
-    """Default truncation exponent, overridable via RESCALING_TRUNC."""
-    raw = os.environ.get(ENV_TRUNC)
-    if raw is None:
-        return Fraction(DEFAULT_TRUNC)
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{ENV_TRUNC} must be an integer, got {raw!r}") from exc
+def default_truncation(value: Optional[int] = None) -> Fraction:
+    """Default truncation exponent: ``value`` when given (the CLI's --trunc),
+    else RESCALING_TRUNC, else DEFAULT_TRUNC.  Either knob must be a
+    positive integer; a bad one raises ``ValueError``."""
+    knob = "--trunc"
+    if value is None:
+        raw = os.environ.get(ENV_TRUNC)
+        if raw is None:
+            return Fraction(DEFAULT_TRUNC)
+        knob = ENV_TRUNC
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValueError(
+                f"{ENV_TRUNC} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{ENV_TRUNC} must be positive, got {value}")
+        raise ValueError(f"{knob} must be positive, got {value}")
     return Fraction(value)

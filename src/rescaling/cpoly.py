@@ -1,8 +1,13 @@
-"""Dense polynomial arithmetic over a coefficient field.
+"""Dense polynomial arithmetic.
 
 Polynomials are lists of coefficients in ascending degree order, all of one
-coefficient type.  These run over residues (exact or approximate), never over
-series; the zero test of the coefficient type decides what counts as zero.
+coefficient type.  :func:`padd`, :func:`psub`, :func:`pscale` and
+:func:`peval` need only ``+``, ``-`` and ``*``, and :func:`trim` and
+:func:`degree` only an ``is_zero`` test besides, so these serve any ring:
+residues (exact or approximate), Puiseux series, and plain ``complex``,
+which has no ``is_zero`` and so is never trimmed.  The rest run over a
+residue field: they call the coefficient type's ``zero()``, ``inverse`` or
+``/``, and the coefficient type's zero test decides what counts as zero.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 from .config import ITERATE_DEGREE_CAP, default_truncation
 from .errors import DegenerateFamily, ParseError
 from .coefficients import ApproxComplex, GaussianRational
-from .maps import AffineFrame, MapL, resultant_vanishes, sadd, smul
+from . import cpoly
+from .maps import AffineFrame, MapL, resultant_vanishes, smul
 from .puiseux import PuiseuxSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([izt])|(->)|([-+*/^(),]))")
@@ -168,8 +169,8 @@ class _Rat:
         self.den = den
 
     def __add__(self, other: "_Rat") -> "_Rat":
-        return _Rat(sadd(smul(self.num, other.den),
-                         smul(other.num, self.den)),
+        return _Rat(cpoly.padd(smul(self.num, other.den),
+                               smul(other.num, self.den)),
                     smul(self.den, other.den))
 
     def __neg__(self) -> "_Rat":

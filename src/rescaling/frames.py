@@ -27,7 +27,7 @@ from .coefficients import GaussianRational
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
                    compose_families, compose_reduced, conjugate,
                    gauss_normalize, iterate_family, precompose_affine,
-                   reduce_family, residues, resultant_valuation, sadd, sscale)
+                   reduce_family, residues, resultant_valuation)
 from . import cpoly
 from .puiseux import PuiseuxSeries
 
@@ -157,12 +157,11 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
     while True:
         work = gauss_normalize(work)
         p_res, q_res = residues(work)
-        p_res, q_res = cpoly.trim(p_res), cpoly.trim(q_res)
         if p_res and q_res:
             c1 = _proportional(p_res, q_res)
             if c1 is None:
                 break
-            gnum = sadd(list(work.num), sscale(list(work.den), -c1))
+            gnum = cpoly.padd(work.num, cpoly.pscale(work.den, -c1))
             delta = block_min_val(gnum)
             if delta == inf:
                 raise DegenerateFamily(
@@ -473,8 +472,10 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
     Seeds share one memo of advances, so each frame class is advanced from
     at most once per scan.  Distinct seeds landing on the same cycle are
     reported once.  Orbits that reach the certified escape region of
-    :func:`escape_bound`, or never repeat within ``max_steps``, count as
-    escaped; other failures are recorded per seed with the error message.
+    :func:`escape_bound` count as escaped.  Every other failure, among them
+    the ``max_steps`` cap, the recentering budget of :func:`advance` and the
+    center-height guard of :func:`find_cycle`, is recorded per seed with
+    the error message.
     """
     ftype = fam.ftype
     exact = ftype is GaussianRational
@@ -503,8 +504,12 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
     for h in seeds:
         try:
             cycle = find_cycle(fam, AffineFrame(h, zero), max_steps, memo)
-        except AdvanceNotTerminating:
-            out.escaped.append(h)
+        except AdvanceNotTerminating as exc:
+            # of the raises in find_cycle, only _escape's carries a bound
+            if exc.details and "bound" in exc.details:
+                out.escaped.append(h)
+            else:
+                out.failed[h] = f"{type(exc).__name__}: {exc}"
             continue
         except (PrecisionExhausted, RamificationCapExceeded,
                 DegenerateFamily, ToleranceAmbiguous) as exc:

@@ -26,34 +26,6 @@ from .puiseux import PuiseuxSeries
 # -- polynomials in z with series coefficients (ascending, fixed length) ----
 
 
-def _strim(p: List[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    out = list(p)
-    while out and out[-1].is_zero:
-        out.pop()
-    return out
-
-
-def sadd(p: Sequence[PuiseuxSeries],
-         q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Sum of two series polynomials."""
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        if i < len(p) and i < len(q):
-            out.append(p[i] + q[i])
-        else:
-            out.append(p[i] if i < len(p) else q[i])
-    return out
-
-
-def sscale(p: Sequence[PuiseuxSeries],
-           s: PuiseuxSeries | Coefficient) -> List[PuiseuxSeries]:
-    """A series polynomial times one series (through :func:`smul`) or scalar."""
-    if isinstance(s, PuiseuxSeries):
-        return smul(p, [s])
-    return [c * s for c in p]
-
-
 def smul(p: Sequence[PuiseuxSeries],
          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
     """Product of two series polynomials.
@@ -192,10 +164,6 @@ class AffineFrame:
     def identity(cls, ftype: type = GaussianRational) -> AffineFrame:
         return cls(0, PuiseuxSeries.zero(inf, ftype))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.h == 0 and self.c.is_zero
-
     def __repr__(self):
         return f"AffineFrame(h={self.h}, c={self.c})"
 
@@ -221,7 +189,7 @@ class MapL:
         self.ftype = ftypes.pop()
         # a coefficient that is zero only as far as known is kept: the formal
         # degree must not silently drop below an undecided top term
-        d = max(len(_strim(num)) - 1, len(_strim(den)) - 1, 0)
+        d = max(len(cpoly.trim(num)) - 1, len(cpoly.trim(den)) - 1, 0)
         zero = PuiseuxSeries.zero(inf, self.ftype)
         self.num = tuple((num + [zero] * (d + 1))[:d + 1])
         self.den = tuple((den + [zero] * (d + 1))[:d + 1])
@@ -283,8 +251,10 @@ def gauss_normalize(fam: MapL) -> MapL:
 
 
 def residues(fam: MapL) -> Tuple[cpoly.Poly, cpoly.Poly]:
-    """Residue numerator and denominator of a Gauss-normalized family."""
-    return ([c.residue() for c in fam.num], [c.residue() for c in fam.den])
+    """Residue numerator and denominator of a Gauss-normalized family,
+    trimmed."""
+    return (cpoly.trim([c.residue() for c in fam.num]),
+            cpoly.trim([c.residue() for c in fam.den]))
 
 
 class ReducedMap:
@@ -375,7 +345,6 @@ def reduce_family(fam: MapL) -> ReducedMap:
     d = fam.degree
     fn = gauss_normalize(fam)
     p_res, q_res = residues(fn)
-    p_res, q_res = cpoly.trim(p_res), cpoly.trim(q_res)
     if not q_res:
         holes = cpoly.monic(p_res)
         out = ReducedMap([type(p_res[0]).one()], [], holes,
@@ -425,15 +394,15 @@ def precompose_affine(fam: MapL, frame: AffineFrame) -> MapL:
     num: List[PuiseuxSeries] = []
     den: List[PuiseuxSeries] = []
     for i in range(fam.degree + 1):
-        num = sadd(num, sscale(powers[i], fam.num[i]))
-        den = sadd(den, sscale(powers[i], fam.den[i]))
+        num = cpoly.padd(num, smul(powers[i], [fam.num[i]]))
+        den = cpoly.padd(den, smul(powers[i], [fam.den[i]]))
     return MapL(num, den)
 
 
 def postcompose_affine(slope: PuiseuxSeries, intercept: PuiseuxSeries,
                        fam: MapL) -> MapL:
     """The family slope * f + intercept."""
-    num = sadd(sscale(fam.num, slope), sscale(fam.den, intercept))
+    num = cpoly.padd(smul(fam.num, [slope]), smul(fam.den, [intercept]))
     return MapL(num, fam.den)
 
 
@@ -466,8 +435,8 @@ def compose_families(outer: MapL, inner: MapL, window=None) -> MapL:
     den: List[PuiseuxSeries] = []
     for i in range(m + 1):
         basis = smul(p_pow[i], q_pow[m - i])
-        num = sadd(num, sscale(basis, outer.num[i]))
-        den = sadd(den, sscale(basis, outer.den[i]))
+        num = cpoly.padd(num, smul(basis, [outer.num[i]]))
+        den = cpoly.padd(den, smul(basis, [outer.den[i]]))
     out = MapL(num, den)
     if window is None:
         if all(c.is_exact for c in out.coeffs()):
@@ -499,14 +468,12 @@ def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
         q_pow.append(cpoly.pmul(q_pow[-1], q))
     num: cpoly.Poly = []
     den: cpoly.Poly = []
-    for i, c in enumerate(outer.num):
-        if i <= m:
-            num = cpoly.padd(num, cpoly.pscale(
-                cpoly.pmul(p_pow[i], q_pow[m - i]), c))
-    for i, c in enumerate(outer.den):
-        if i <= m:
-            den = cpoly.padd(den, cpoly.pscale(
-                cpoly.pmul(p_pow[i], q_pow[m - i]), c))
+    for i in range(m + 1):
+        basis = cpoly.pmul(p_pow[i], q_pow[m - i])
+        if i < len(outer.num):
+            num = cpoly.padd(num, cpoly.pscale(basis, outer.num[i]))
+        if i < len(outer.den):
+            den = cpoly.padd(den, cpoly.pscale(basis, outer.den[i]))
     g = cpoly.pgcd(num, den) if num and den else []
     if cpoly.degree(g) > 0:
         num, den = _divide_out(num, g), _divide_out(den, g)
@@ -518,8 +485,7 @@ def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
 
 def resultant_series(fam: MapL) -> PuiseuxSeries:
     """Res_z(P, Q) as a series, by a division-free determinant."""
-    p = _strim(list(fam.num))
-    q = _strim(list(fam.den))
+    p, q = cpoly.trim(fam.num), cpoly.trim(fam.den)
     ftype = fam.ftype
     if not p or not q:
         return PuiseuxSeries.zero(inf, ftype)
@@ -554,7 +520,7 @@ def resultant_vanishes(fam: MapL) -> bool:
     valuation 0, which scales the resultant by a power of t, and is sent to
     its residues (mod P when Gaussian-rational).
     """
-    p, q = _strim(list(fam.num)), _strim(list(fam.den))
+    p, q = cpoly.trim(fam.num), cpoly.trim(fam.den)
     if len(p) > 1 and len(q) > 1:
         try:
             if fam.ftype is ApproxComplex:

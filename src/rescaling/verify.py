@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, cos, gcd, isfinite, log10, pi, sin, sqrt
+from math import ceil, cos, isfinite, lcm, log10, pi, sin, sqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import cpoly
@@ -68,19 +68,10 @@ def sphere_grid(n: int) -> List[complex]:
     return pts
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _ramification(fam: MapL, cycle: RescalingCycle) -> int:
-    d = 1
-    for c in fam.coeffs():
-        for e, _ in c.terms:
-            d = _lcm(d, e.denominator)
-    d = _lcm(d, cycle.base.h.denominator)
-    for e, _ in cycle.base.c.terms:
-        d = _lcm(d, e.denominator)
-    return d
+    return lcm(cycle.base.h.denominator,
+               *(e.denominator for c in fam.coeffs() + (cycle.base.c,)
+                 for e, _ in c.terms))
 
 
 def _resolved(e: Fraction, ram: int) -> int:
@@ -296,9 +287,7 @@ def _preimages(partial: Optional[ReducedMap], h: object) -> List[object]:
             out.append(INFINITY)
         return out
     hc = complex(h)
-    eq = [a - hc * b for a, b in
-          zip(num + [0j] * max(0, dd - dn), den + [0j] * max(0, dn - dd))]
-    out.extend(cpoly.roots_numeric(eq))
+    out.extend(cpoly.roots_numeric(cpoly.psub(num, cpoly.pscale(den, hc))))
     at_inf: object = (INFINITY if dn > dd else
                       0j if dn < dd else num[-1] / den[-1])
     if at_inf != INFINITY and abs(at_inf - hc) < 1e-9:

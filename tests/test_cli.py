@@ -213,11 +213,13 @@ def test_center_height_guard_ends_wandering_orbit(capsys, family, step,
 
 
 def test_scan_of_wandering_family_ends_in_one_document(capsys):
-    code = cli.main(["scan", "z^2 + 1 + t", "--max-denominator", "2"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code in (0, 3)
-    if code == 0:
-        assert doc["scan"]["escaped"] == ["1/2"]
+    # the height guard stops the orbit from (1/2, 0); no escape is certified
+    code, doc = run(capsys, "scan", "z^2 + 1 + t", "--max-denominator", "2")
+    assert code == 0
+    assert doc["scan"]["escaped"] == []
+    assert list(doc["scan"]["failed"]) == ["1/2"]
+    assert doc["scan"]["failed"]["1/2"].startswith(
+        "AdvanceNotTerminating: advance 14 reached a frame center of height")
 
 
 def test_report_and_scan_share_the_scan_object(capsys):
@@ -301,3 +303,20 @@ def test_trunc_flag(capsys):
     code, doc = run(capsys, "reduce", "z^2 + 1/(1-t)", "--trunc", "8")
     assert code == 0
     assert doc["reduced"]["map"] == "z^2 + 1"
+
+
+@pytest.mark.parametrize("env, argv, knob", [
+    ("0", (), "RESCALING_TRUNC"),
+    ("abc", (), "RESCALING_TRUNC"),
+    (None, ("--trunc", "0"), "--trunc"),
+    (None, ("--trunc", "-5"), "--trunc"),
+], ids=["env_zero", "env_text", "flag_zero", "flag_negative"])
+def test_bad_truncation_knob_exits_2(capsys, monkeypatch, env, argv, knob):
+    if env is None:
+        monkeypatch.delenv("RESCALING_TRUNC", raising=False)
+    else:
+        monkeypatch.setenv("RESCALING_TRUNC", env)
+    code, doc = run(capsys, "reduce", "z^2+t", *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"].startswith(knob)

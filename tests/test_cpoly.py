@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import inf
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescaling import ApproxComplex, GaussianRational
+from rescaling import ApproxComplex, GaussianRational, PuiseuxSeries
 from rescaling import cpoly
 
 G = GaussianRational
@@ -354,3 +355,71 @@ A = ApproxComplex
 ])
 def test_pdivmod_matches_reference_loop_cases(p, q):
     _check_pdivmod(p, q)
+
+
+# -- the ring-generic helpers on series and on complex -----------------------
+
+
+def _termwise(parts, trunc):
+    """repr of the terms and the trunc of sum c t^e over parts, mod t^trunc,
+    summed in a dict keyed by exponent."""
+    acc = {}
+    for e, c in parts:
+        acc[e] = acc[e] + c if e in acc else c
+    kept = [(e, c) for e, c in sorted(acc.items(), key=lambda ec: ec[0])
+            if e < trunc and not c.is_zero]
+    return repr(tuple(kept)), trunc
+
+
+def _got(poly):
+    return [(repr(c.terms), c.trunc) for c in poly]
+
+
+@pytest.mark.parametrize("ftype, trunc, tiny", [
+    (G, inf, 0), (G, Fraction(5, 2), 0), (ApproxComplex, 3, 1e-13),
+], ids=["exact", "truncated", "approx"])
+def test_ring_helpers_on_series(ftype, trunc, tiny):
+    def s(tr, *terms):
+        return PuiseuxSeries.build(terms, tr, ftype)
+
+    half = Fraction(1, 2)
+    # p[0] + q[0] cancels its constant term (to below the zero threshold
+    # when approximate); p's top entry is known to be zero only mod t^2
+    p = [s(trunc, (0, 1), (1, 2)), s(inf, (half, -3)), s(trunc, (2, half)),
+         s(2)]
+    q = [s(inf, (0, -1 + tiny), (half, half / 2)), s(trunc, (half, 3), (2, 1))]
+    zero = s(inf)
+    assert _got(cpoly.trim(p + [zero, zero])) == _got(p)
+    assert _got(cpoly.trim(q + [zero])) == _got(q)
+    assert cpoly.degree(p) == 3 and cpoly.degree([zero]) == -1
+
+    def pairs(a, b, neg):
+        return [_termwise(list(x.terms) + [(e, -c if neg else c)
+                                           for e, c in y.terms],
+                          min(x.trunc, y.trunc))
+                for x, y in zip(a + [zero] * (len(b) - len(a)),
+                                b + [zero] * (len(a) - len(b)))]
+
+    assert _got(cpoly.padd(p, q)) == pairs(p, q, False)
+    assert _got(cpoly.psub(p, q)) == pairs(p, q, True)
+    c = ftype.coerce(-2)
+    assert _got(cpoly.pscale(p, c)) \
+        == [_termwise([(e, a * c) for e, a in x.terms], x.trunc) for x in p]
+    y = q[0]
+    assert _got(cpoly.pscale(p, y)) == [
+        _termwise([(e + f, a * b) for e, a in x.terms for f, b in y.terms],
+                  min(x.trunc + y.val_lower(), y.trunc + x.val_lower()))
+        for x in p]
+    got = cpoly.peval(p, c)
+    assert (repr(got.terms), got.trunc) == _termwise(
+        [(e, a * c ** i) for i, x in enumerate(p) for e, a in x.terms],
+        min(x.trunc for x in p))
+
+
+def test_ring_helpers_on_complex():
+    p, q = [1 + 2j, -3.0, 0.5j], [4j, 1.5]
+    assert cpoly.padd(p, q) == [1 + 6j, -1.5, 0.5j]
+    assert cpoly.psub(p, q) == [1 - 2j, -4.5, 0.5j]
+    assert cpoly.pscale(q, 2j) == [-8 + 0j, 3j]
+    x = 1 - 1j
+    assert cpoly.peval(p, x) == p[0] + p[1] * x + p[2] * x * x

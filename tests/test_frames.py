@@ -370,8 +370,11 @@ def _scan_by_seed(fam, max_denominator):
     for h in seeds:
         try:
             cyc = find_cycle(fam, AffineFrame(h, zero))
-        except AdvanceNotTerminating:
-            out.escaped.append(h)
+        except AdvanceNotTerminating as exc:
+            if "bound" in (exc.details or {}):
+                out.escaped.append(h)
+            else:
+                out.failed[h] = f"{type(exc).__name__}: {exc}"
             continue
         except RescalingError as exc:
             out.failed[h] = f"{type(exc).__name__}: {exc}"
