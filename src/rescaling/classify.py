@@ -9,9 +9,9 @@ as such in the status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from . import cpoly
 from .config import PCF_CLUSTER_TOL, PCF_HEIGHT_BITS, PCF_MAX_ITER
@@ -97,8 +97,7 @@ def _one(g: ReducedMap) -> Coefficient:
     return type((g.num or g.den)[0]).one()
 
 
-@dataclass(frozen=True)
-class PcfReport:
+class PcfReport(NamedTuple):
     """Outcome of the postcritical finiteness test."""
 
     status: str
@@ -289,8 +288,7 @@ def _pt_str(z: object) -> str:
     return z if isinstance(z, str) else str(z)
 
 
-@dataclass(frozen=True)
-class LimitClassification:
+class LimitClassification(NamedTuple):
     """The three predicates evaluated on one limit map."""
 
     map_str: str
@@ -317,8 +315,7 @@ def classify_limit(g: ReducedMap) -> LimitClassification:
     )
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(NamedTuple):
     """How a family's rescaling cycles split.
 
     ``case`` is "i" or "ii" for quadratic families with a cycle of period

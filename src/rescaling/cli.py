@@ -176,12 +176,12 @@ def _cmd_orbit(args, trunc) -> Outcome:
         {"name": "limit_degree_product", "passed": True})
     code = 0
     if args.crosscheck:
-        ok = cycle_limit_crosscheck(fam, cycle)
+        ok = cycle_limit_crosscheck(fam, cycle, trunc)
         payload["assertions"].append(
             {"name": "cycle_limit_crosscheck", "passed": ok})
         code = code or (0 if ok else 2)
     if args.period_max:
-        rep = period_set_check(fam, seed, args.period_max)
+        rep = period_set_check(fam, seed, args.period_max, trunc)
         payload["period_set"] = {
             "degrees": {str(ell): dg for ell, dg in rep.degrees.items()},
             "law_holds": rep.law_holds,

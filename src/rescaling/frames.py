@@ -13,10 +13,9 @@ center modulo t^h matter, so classes store the center cut below t^h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, RAMIFICATION_CAP,
                      default_truncation)
@@ -127,8 +126,7 @@ def equivalent_via_reduction(a: Union[AffineFrame, FrameClass],
             and len(red.num) == 2 and red.num[1].is_one)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """One advance: source frame, the frame it lands on, and the step limit."""
 
     source: FrameClass
@@ -216,8 +214,7 @@ def _proportional(p: cpoly.Poly, q: cpoly.Poly):
     return c1 if cpoly.is_zero_poly(diff) else None
 
 
-@dataclass(frozen=True)
-class RescalingCycle:
+class RescalingCycle(NamedTuple):
     """A periodic frame orbit with its composed limit.
 
     ``frames[0]`` is the first frame of the cycle the seed orbit entered;
@@ -408,21 +405,24 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
         f"no frame class repeated within {max_steps} advances from {fc}")
 
 
-def cycle_limit_crosscheck(fam: MapL, cycle: RescalingCycle) -> bool:
+def cycle_limit_crosscheck(fam: MapL, cycle: RescalingCycle,
+                           window: Optional[Fraction] = None) -> bool:
     """Re-derive the cycle limit from the iterated family.
 
     Reduces M^-1 o f^q o M at the base frame and compares with the composed
     step limits.  Degree-capped: period-q checks need degree^q iterates.
     The conjugate is iterated rather than the iterate conjugated (the same
-    map): precision is spent once and the iterate stays within a window.
+    map): precision is spent once and the iterate stays within ``window``
+    (default: :func:`default_truncation`).
     """
+    if window is None:
+        window = default_truncation()
     g = conjugate(fam, cycle.base.frame())
-    it = iterate_family(g, cycle.period, window=default_truncation())
+    it = iterate_family(g, cycle.period, window)
     return reduce_family(it) == cycle.limit
 
 
-@dataclass(frozen=True)
-class PeriodSetReport:
+class PeriodSetReport(NamedTuple):
     """Limit degrees of the conjugated iterates in one frame."""
 
     degrees: Dict[int, int]
@@ -431,15 +431,18 @@ class PeriodSetReport:
 
 
 def period_set_check(fam: MapL, frame: Union[AffineFrame, FrameClass],
-                     ell_max: int) -> PeriodSetReport:
+                     ell_max: int,
+                     window: Optional[Fraction] = None) -> PeriodSetReport:
     """Degrees of the reduced conjugates of f^ell, and the divisibility law.
 
     The set {ell : degree >= 2} must be empty or exactly the multiples of
-    its least element within range.
+    its least element within range.  Iterates are kept within ``window``
+    (default: :func:`default_truncation`).
     """
+    if window is None:
+        window = default_truncation()
     fc = canonicalize(frame)
     g = conjugate(fam, fc.frame())
-    window = default_truncation()
     degrees: Dict[int, int] = {}
     it = g
     for ell in range(1, ell_max + 1):
@@ -454,15 +457,27 @@ def period_set_check(fam: MapL, frame: Union[AffineFrame, FrameClass],
     return PeriodSetReport(degrees, heavy == expected, q)
 
 
-@dataclass
 class ScanResult:
-    """Outcome of seeding monomial frames over a denominator range."""
+    """Outcome of seeding monomial frames over a denominator range.
 
-    cycles: List[RescalingCycle] = field(default_factory=list)
-    degree_one: List[RescalingCycle] = field(default_factory=list)
-    escaped: List[Fraction] = field(default_factory=list)
-    failed: Dict[Fraction, str] = field(default_factory=dict)
-    seeds_scanned: int = 0
+    A mutable accumulator: the scan appends to its lists as seeds resolve.
+    """
+
+    def __init__(self, seeds_scanned: int = 0):
+        self.cycles: List[RescalingCycle] = []
+        self.degree_one: List[RescalingCycle] = []
+        self.escaped: List[Fraction] = []
+        self.failed: Dict[Fraction, str] = {}
+        self.seeds_scanned = seeds_scanned
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanResult):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"ScanResult({fields})"
 
 
 def monomial_seed_scan(fam: MapL, max_denominator: int,

@@ -17,10 +17,10 @@ comparison, otherwise the tolerance was meaningless.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, cos, isfinite, lcm, log10, pi, sin, sqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import cpoly
 from .config import (VERIFY_GRID_POINTS, VERIFY_HOLE_MARGIN, VERIFY_MAX_DROP,
@@ -149,8 +149,7 @@ def _step_holes(step_limit: ReducedMap) -> List[object]:
     return holes
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Grid comparison of the conjugated return map against the limit."""
 
     period: int

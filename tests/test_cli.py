@@ -4,11 +4,14 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rescaling
+import rescaling.frames as frames_mod
+import rescaling.maps as maps_mod
 from rescaling import cli
 from rescaling.config import CENTER_HEIGHT_CAP, ITERATE_DEGREE_CAP
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
@@ -262,7 +265,8 @@ def test_float_family_verifies_high_cancellation_frame(capsys):
 def test_cli_import_loads_no_numeric_stack():
     src = str(Path(rescaling.__file__).resolve().parents[1])
     probe = ("import sys, rescaling.cli; "
-             "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+             "print(sorted({'numpy', 'mpmath', 'sympy', 'dataclasses', "
+             "'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -320,3 +324,56 @@ def test_bad_truncation_knob_exits_2(capsys, monkeypatch, env, argv, knob):
     assert code == 2
     assert doc["error"]["type"] == "ValueError"
     assert doc["error"]["message"].startswith(knob)
+
+
+def _spy_windows(monkeypatch):
+    """The window of every compose_families call the run makes."""
+    windows = []
+    real = maps_mod.compose_families
+
+    def spy(outer, inner, window=None):
+        windows.append(window)
+        return real(outer, inner, window)
+
+    monkeypatch.setattr(maps_mod, "compose_families", spy)
+    monkeypatch.setattr(frames_mod, "compose_families", spy)
+    return windows
+
+
+ITERATE_CHECKS = [("--crosscheck",), ("--period-max", "3")]
+
+
+@pytest.mark.parametrize("argv", ITERATE_CHECKS,
+                         ids=["crosscheck", "period_set"])
+def test_trunc_flag_wins_over_bad_env_in_iterate_checks(capsys, monkeypatch,
+                                                         argv):
+    monkeypatch.setenv("RESCALING_TRUNC", "abc")
+    code, doc = run(capsys, "orbit", QUAD0, "--frame", "1", *argv,
+                    "--trunc", "16")
+    assert code == 0
+    assert len(doc["assertions"]) == 2
+    assert all(a["passed"] for a in doc["assertions"])
+
+
+@pytest.mark.parametrize("argv", ITERATE_CHECKS,
+                         ids=["crosscheck", "period_set"])
+def test_trunc_flag_sets_the_iterate_window(capsys, monkeypatch, argv):
+    monkeypatch.setenv("RESCALING_TRUNC", "40")
+    windows = _spy_windows(monkeypatch)
+    code, _ = run(capsys, "orbit", QUAD0, "--frame", "1", *argv,
+                  "--trunc", "20")
+    assert code == 0
+    assert windows and set(windows) == {Fraction(20)}
+
+
+def test_precision_retry_widens_the_iterate_window(capsys, monkeypatch):
+    # at --trunc 2 the cubic's period-3 iterate runs out of precision; each
+    # retry doubles the truncation, and the window with it
+    monkeypatch.delenv("RESCALING_TRUNC", raising=False)
+    windows = _spy_windows(monkeypatch)
+    code, doc = run(capsys, "orbit", CUBIC, "--frame", "3", "--crosscheck",
+                    "--trunc", "2")
+    assert code == 0 and doc["cycles"][0]["period"] == 3
+    assert windows[0] == 2 and windows[-1] > 2
+    assert windows == sorted(windows)
+    assert set(windows) <= {Fraction(2 ** k) for k in range(1, 6)}

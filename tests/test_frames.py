@@ -407,6 +407,26 @@ def test_scan_advances_each_class_once(monkeypatch, text):
     assert len(res.cycles) == 4 and len(res.escaped) == 26
 
 
+def test_scan_result_starts_empty_and_compares_by_value():
+    a, b = ScanResult(seeds_scanned=3), ScanResult(seeds_scanned=3)
+    assert (a.cycles, a.degree_one, a.escaped, a.failed) == ([], [], [], {})
+    assert a.seeds_scanned == 3 and a.escaped is not b.escaped
+    assert a == b and a != ScanResult(seeds_scanned=4)
+    a.escaped.append(Fraction(1, 2))
+    assert a != b
+    b.escaped.append(Fraction(1, 2))
+    assert a == b
+
+
+@pytest.mark.parametrize("record, field", [("step", "n_corrections"),
+                                           ("cycle", "limit")])
+def test_result_records_are_immutable(record, field):
+    cyc = cycle("quad0", "1")
+    obj = cyc.steps[0] if record == "step" else cyc
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+
+
 # -- float families ----------------------------------------------------------
 
 

@@ -86,6 +86,13 @@ def test_report_dict_shape():
         assert key in d
 
 
+def test_report_is_immutable():
+    rep = verify_rescaling(family("mcm"), cycle("mcm", "1/3"), grid_points=20)
+    with pytest.raises(AttributeError):
+        rep.passed = False
+    assert rep.ok
+
+
 # max_errors and control_error of the default check, recorded from the
 # exact Gaussian-rational orbit these high-cancellation cycles once ran on
 EXACT_ORBIT_PINS = {
