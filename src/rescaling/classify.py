@@ -298,10 +298,6 @@ class LimitClassification(NamedTuple):
     polynomial_witness: Optional[str]
     pcf: PcfReport
 
-    @property
-    def pcf_status(self) -> str:
-        return self.pcf.status
-
 
 def classify_limit(g: ReducedMap) -> LimitClassification:
     poly, witness = polynomial_like(g)

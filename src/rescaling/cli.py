@@ -2,11 +2,11 @@
 
 One subcommand per process, one JSON document on stdout.  Exit codes: 0 on
 success, 2 when a consistency assertion or parse error fires, 3 when
-precision, termination, or sampling gives out.  The default series
-truncation honours the RESCALING_TRUNC environment variable; --trunc
-overrides it.  Either must be a positive integer, or the run ends with exit
-code 2.  A run that exhausts precision is retried with doubled
-truncation a few times before giving up.  A reader that closes stdout
+precision, termination, or sampling gives out.  The series truncation is
+decided here, once per run, and passed to every library call: --trunc, else
+the RESCALING_TRUNC environment variable, else 16.  Either knob must be a
+positive integer, or the run ends with exit code 2.  A run that exhausts
+precision is retried with doubled truncation a few times before giving up.  A reader that closes stdout
 early gets no traceback, and the exit code stays the command's own.
 """
 

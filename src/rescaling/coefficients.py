@@ -11,7 +11,7 @@ A single computation never mixes the two; binary operations between them
 raise :class:`~rescaling.errors.MixedCoefficients`.  Python ints and
 Fractions coerce into either realization, so polynomial code can be written
 once against the shared surface (``+ - * /``, ``is_zero``, ``inverse``,
-``conjugate``, ``abs2``, ``to_complex``).
+``abs2``, ``to_complex``).
 """
 
 from __future__ import annotations
@@ -97,9 +97,6 @@ class GaussianRational:
     def abs2(self) -> Fraction:
         """Squared modulus, exact."""
         return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
-
-    def conjugate(self) -> GaussianRational:
-        return _make(self.x, -self.y, self.d)
 
     def inverse(self) -> GaussianRational:
         x, y, d = self.x, self.y, self.d
@@ -297,9 +294,6 @@ class ApproxComplex:
 
     def abs2(self) -> float:
         return self.re * self.re + self.im * self.im
-
-    def conjugate(self) -> ApproxComplex:
-        return ApproxComplex(self.re, -self.im, self.zero_threshold)
 
     def inverse(self) -> ApproxComplex:
         if self.is_zero:

@@ -1,9 +1,10 @@
 """Tunable defaults.
 
-Values here are calibration decisions, not mathematical content.  The only
-one read from the environment is the default truncation exponent
-(``RESCALING_TRUNC``), so batch users can trade speed for precision without
-touching call sites.
+Values here are calibration decisions, not mathematical content.  No
+library function reads the environment: every truncation or window
+argument defaults to ``DEFAULT_TRUNC``.  Only the command line front end
+calls :func:`default_truncation`, which lets ``RESCALING_TRUNC`` stand in
+for a missing ``--trunc``.
 """
 
 from __future__ import annotations

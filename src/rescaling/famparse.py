@@ -20,7 +20,7 @@ from functools import wraps
 from math import inf
 from typing import List, Optional, Tuple
 
-from .config import ITERATE_DEGREE_CAP, default_truncation
+from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
 from .errors import DegenerateFamily, ParseError
 from .coefficients import ApproxComplex, GaussianRational
 from . import cpoly
@@ -285,7 +285,7 @@ def _depth_checked(parse):
 
 @_depth_checked
 def parse_family(text: str, subst: Optional[str] = None,
-                 trunc=None) -> MapL:
+                 trunc=DEFAULT_TRUNC) -> MapL:
     """Parse a family of maps in z with coefficients rational in t.
 
     A z-degree above ``ITERATE_DEGREE_CAP``, in the family or in any power
@@ -297,8 +297,6 @@ def parse_family(text: str, subst: Optional[str] = None,
     >>> fam.degree
     5
     """
-    if trunc is None:
-        trunc = default_truncation()
     tokens = _tokenize(text)
     node = _Parser(tokens).parse()
     approx = _has_float(node) or (subst is not None
@@ -327,7 +325,7 @@ def parse_family(text: str, subst: Optional[str] = None,
 
 
 @_depth_checked
-def parse_frame(text: str, trunc=None,
+def parse_frame(text: str, trunc=DEFAULT_TRUNC,
                 ftype: type = GaussianRational) -> AffineFrame:
     """Parse a frame "h" or "h, center": h a rational, center a series in t.
 
@@ -338,8 +336,6 @@ def parse_frame(text: str, trunc=None,
     >>> parse_frame("2/5").h
     Fraction(2, 5)
     """
-    if trunc is None:
-        trunc = default_truncation()
     head, _, rest = text.partition(",")
     head = head.strip()
     try:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import inf
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, RAMIFICATION_CAP,
-                     default_truncation)
+from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, DEFAULT_TRUNC,
+                     RAMIFICATION_CAP)
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      DegreeCapExceeded, PrecisionExhausted,
                      RamificationCapExceeded, ToleranceAmbiguous)
@@ -361,7 +361,6 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
         memo = {}
     orbit: List[FrameClass] = [fc]
     steps: List[StepResult] = []
-    index: Dict[tuple, int] = {fc.key(): 0} if exact else {}
     while len(steps) < max_steps:
         src = orbit[-1]
         step_key = src.key() if exact else src.bits_key()
@@ -370,10 +369,7 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
             st = memo[step_key] = advance(fam, src)
         steps.append(st)
         tgt = st.target
-        if exact:
-            j = index.get(tgt.key())
-        else:
-            j = next((k for k, fr in enumerate(orbit) if fr == tgt), None)
+        j = next((k for k, fr in enumerate(orbit) if fr == tgt), None)
         if j is not None:
             cyc_frames = tuple(orbit[j:])
             cyc_steps = tuple(steps[j:])
@@ -399,24 +395,19 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
                 details={"step": len(steps), "height": height,
                          "cap": CENTER_HEIGHT_CAP, "frame": str(src)})
         orbit.append(tgt)
-        if exact:
-            index[tgt.key()] = len(orbit) - 1
     raise AdvanceNotTerminating(
         f"no frame class repeated within {max_steps} advances from {fc}")
 
 
 def cycle_limit_crosscheck(fam: MapL, cycle: RescalingCycle,
-                           window: Optional[Fraction] = None) -> bool:
+                           window=DEFAULT_TRUNC) -> bool:
     """Re-derive the cycle limit from the iterated family.
 
     Reduces M^-1 o f^q o M at the base frame and compares with the composed
     step limits.  Degree-capped: period-q checks need degree^q iterates.
     The conjugate is iterated rather than the iterate conjugated (the same
-    map): precision is spent once and the iterate stays within ``window``
-    (default: :func:`default_truncation`).
+    map): precision is spent once and the iterate stays within ``window``.
     """
-    if window is None:
-        window = default_truncation()
     g = conjugate(fam, cycle.base.frame())
     it = iterate_family(g, cycle.period, window)
     return reduce_family(it) == cycle.limit
@@ -432,15 +423,15 @@ class PeriodSetReport(NamedTuple):
 
 def period_set_check(fam: MapL, frame: Union[AffineFrame, FrameClass],
                      ell_max: int,
-                     window: Optional[Fraction] = None) -> PeriodSetReport:
+                     window=DEFAULT_TRUNC) -> PeriodSetReport:
     """Degrees of the reduced conjugates of f^ell, and the divisibility law.
 
     The set {ell : degree >= 2} must be empty or exactly the multiples of
-    its least element within range.  Iterates are kept within ``window``
-    (default: :func:`default_truncation`).
+    its least element within range.  Iterates are kept within ``window``.
+    ``ell_max`` must be at least 1.
     """
-    if window is None:
-        window = default_truncation()
+    if ell_max < 1:
+        raise ValueError(f"period range must be >= 1, got {ell_max}")
     fc = canonicalize(frame)
     g = conjugate(fam, fc.frame())
     degrees: Dict[int, int] = {}
@@ -492,24 +483,16 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
     center-height guard of :func:`find_cycle`, is recorded per seed with
     the error message.
     """
-    ftype = fam.ftype
-    exact = ftype is GaussianRational
-    zero = PuiseuxSeries.zero(inf, ftype)
+    zero = PuiseuxSeries.zero(inf, fam.ftype)
     seeds = sorted({Fraction(p, q)
                     for q in range(2, max_denominator + 1)
                     for p in range(1, q)})
     out = ScanResult(seeds_scanned=len(seeds))
     memo: Dict[tuple, StepResult] = {}
-    seen_keys: set = set()
     seen_cycles: List[RescalingCycle] = []
 
     def _is_new(cycle: RescalingCycle) -> bool:
-        if exact:
-            key = frozenset(fr.key() for fr in cycle.frames)
-            if key in seen_keys:
-                return False
-            seen_keys.add(key)
-            return True
+        # advance is deterministic, so cycles sharing one class share all
         for old in seen_cycles:
             if any(fr == cycle.base for fr in old.frames):
                 return False

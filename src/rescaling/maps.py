@@ -16,7 +16,7 @@ from math import inf, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from . import cpoly
-from .config import ITERATE_DEGREE_CAP, default_truncation
+from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
 from .errors import (AssertionFailed, DegenerateFamily, DegreeCapExceeded,
                      MixedCoefficients, PrecisionExhausted,
                      ToleranceAmbiguous)
@@ -160,10 +160,6 @@ class AffineFrame:
         self.h = Fraction(h)
         self.c = c
 
-    @classmethod
-    def identity(cls, ftype: type = GaussianRational) -> AffineFrame:
-        return cls(0, PuiseuxSeries.zero(inf, ftype))
-
     def __repr__(self):
         return f"AffineFrame(h={self.h}, c={self.c})"
 
@@ -297,19 +293,6 @@ class ReducedMap:
     def holes_degree(self) -> int:
         return max(cpoly.degree(self.holes), 0) + self.inf_mult
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
-    def constant_value(self):
-        """The constant this map equals, with None for a non-constant map."""
-        if not self.is_constant:
-            return None
-        if not self.den:
-            return "inf"
-        return self.num[0] / self.den[0] if self.num else \
-            type(self.den[0]).zero()
-
     def __eq__(self, other):
         if not isinstance(other, ReducedMap):
             return NotImplemented
@@ -415,12 +398,9 @@ def conjugate(fam: MapL, frame: AffineFrame) -> MapL:
     return postcompose_affine(s, b, inner)
 
 
-def compose_families(outer: MapL, inner: MapL, window=None) -> MapL:
-    """outer(inner(z)), truncated to a window above the least valuation.
-
-    ``window`` forces the relative truncation width.  Without it, exact
-    inputs compose exactly and inexact ones keep the default window.
-    """
+def compose_families(outer: MapL, inner: MapL,
+                     window=DEFAULT_TRUNC) -> MapL:
+    """outer(inner(z)), truncated to ``window`` above the least valuation."""
     d = outer.degree * inner.degree
     if d > ITERATE_DEGREE_CAP:
         raise DegreeCapExceeded(
@@ -438,17 +418,13 @@ def compose_families(outer: MapL, inner: MapL, window=None) -> MapL:
         num = cpoly.padd(num, smul(basis, [outer.num[i]]))
         den = cpoly.padd(den, smul(basis, [outer.den[i]]))
     out = MapL(num, den)
-    if window is None:
-        if all(c.is_exact for c in out.coeffs()):
-            # exact inputs compose exactly; capping would destroy tails
-            return out
-        window = default_truncation()
     mu = min(c.val_lower() for c in out.coeffs())
     return out.cap_all(mu + window)
 
 
-def iterate_family(fam: MapL, n: int, window=None) -> MapL:
-    """The n-th iterate f^n, n >= 1."""
+def iterate_family(fam: MapL, n: int, window=DEFAULT_TRUNC) -> MapL:
+    """The n-th iterate f^n, n >= 1, each composition kept within
+    ``window``."""
     if n < 1:
         raise ValueError("iterate count must be >= 1")
     out = fam

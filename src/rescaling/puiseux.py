@@ -12,7 +12,8 @@ actually certified:
 * ``a * b`` is known mod t^min(trunc_a + val(b), trunc_b + val(a));
 * ``1/a`` with a = c t^e (1 + u) is known mod t^(trunc_a - 2e), or exactly
   when u vanishes identically; inverting an exact series with a nontrivial
-  tail produces an infinite expansion, cut at the configured default order.
+  tail produces an infinite expansion, cut at t^DEFAULT_TRUNC (16) unless
+  the caller asks for a ``prec``.
 
 Asking for the valuation of a series that is zero as far as it is known
 raises :class:`~rescaling.errors.PrecisionExhausted`; an identically zero
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Tuple, Union
 
-from .config import default_truncation
+from .config import DEFAULT_TRUNC
 from .errors import MixedCoefficients, PrecisionExhausted
 from .coefficients import ApproxComplex, Coefficient, GaussianRational
 
@@ -168,10 +169,6 @@ class PuiseuxSeries:
         return PuiseuxSeries(
             tuple((e, ci * c) for e, ci in self.terms), self.trunc, self.ftype)
 
-    def exactified(self) -> PuiseuxSeries:
-        """Reinterpret the known terms as the whole series (trunc = inf)."""
-        return PuiseuxSeries(self.terms, inf, self.ftype)
-
     # -- arithmetic ----------------------------------------------------
 
     def _lift(self, other):
@@ -241,7 +238,7 @@ class PuiseuxSeries:
                 return out if prec is None else out.cap(prec)
             trunc = self.trunc - 2 * e
         elif self.trunc == inf:
-            trunc = default_truncation()
+            trunc = DEFAULT_TRUNC
         else:
             trunc = self.trunc - 2 * e
         if prec is not None:

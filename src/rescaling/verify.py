@@ -193,15 +193,17 @@ def verify_rescaling(fam: MapL, cycle: RescalingCycle,
                      s_grid: Sequence[float] = VERIFY_S_GRID,
                      tol: float = VERIFY_TOL,
                      grid_points: int = VERIFY_GRID_POINTS,
-                     ray: complex = 1.0,
-                     limit_override: ReducedMap = None) -> VerificationReport:
+                     ray: complex = 1.0) -> VerificationReport:
     """Compare M^-1 o f^q o M against the cycle limit on a sphere grid.
 
     Passing means the worst chordal error at the smallest s is within the
     tolerance and the shifted control map is rejected at the same tolerance.
     ``ray`` rotates the sampling direction: s runs along ray * |s|.
+    ``grid_points`` must be at least 1.
     """
-    limit = cycle.limit if limit_override is None else limit_override
+    if grid_points < 1:
+        raise ValueError(f"grid size must be >= 1, got {grid_points}")
+    limit = cycle.limit
     ram = _ramification(fam, cycle)
     s_grid = sorted(s_grid, reverse=True)
     for s_mag in s_grid:

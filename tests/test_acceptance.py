@@ -105,7 +105,7 @@ def test_criterion_3_degenerate_elliptic_family():
     by_frames = {tuple(str(f.h) for f in c.frames): c for c in res.cycles}
     cyc = by_frames.get(("2/5", "4/5"))
     cycle_ok = cyc is not None and cyc.limit == reduced("-4/z^4")
-    statuses = {classify_limit(c.limit).pcf_status for c in res.cycles}
+    statuses = {classify_limit(c.limit).pcf.status for c in res.cycles}
     pcf_ok = statuses == {"PCF_Certified"}
     ok = fixed_ok and cycle_ok and pcf_ok
     _line(3, "elliptic degeneration: trivial frame fixed with limit "
@@ -186,8 +186,8 @@ def test_criterion_7_numeric_verification():
             failures.append(f"{key} {seed}: errors {rep.max_errors}, "
                             f"control {rep.control_error:.2e}")
     wrong = reduced("(z^2 + 2*z - 2)/(z - 1)")
-    control = verify_rescaling(family("quad0"), cycle("quad0", "1"),
-                               limit_override=wrong)
+    control = verify_rescaling(family("quad0"),
+                               cycle("quad0", "1")._replace(limit=wrong))
     control_ok = not control.passed
     ok = not failures and control_ok
     _line(7, "every fixture cycle passes the default numeric check with "

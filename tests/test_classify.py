@@ -70,7 +70,7 @@ def test_classify_limit_bundles_predicates():
     assert c.degree == 2
     assert not c.multiple_fixed_point
     assert c.polynomial_like and c.polynomial_witness == "inf"
-    assert c.pcf_status == "NotPCF_CertifiedEscape"
+    assert c.pcf.status == "NotPCF_CertifiedEscape"
     c = classify_limit(reduced("1/z^6"))
     assert c.pcf.is_monomial and not c.polynomial_like
 

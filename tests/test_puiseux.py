@@ -100,7 +100,6 @@ def test_shift_cap_scale():
     assert s.shift(2).trunc == 6
     assert s.cap(1).terms == ((Fraction(0), GaussianRational(1, 0)),)
     assert s.scale(3).coefficient(1) == GaussianRational(3, 0)
-    assert s.exactified().is_exact
 
 
 def test_coefficient_access():

@@ -61,8 +61,8 @@ def test_verify_along_rotated_ray():
 
 def test_verify_rejects_wrong_limit():
     wrong = reduced("(z^2 + 2*z - 2)/(z - 1)")
-    rep = verify_rescaling(family("quad0"), cycle("quad0", "1"),
-                           limit_override=wrong)
+    rep = verify_rescaling(family("quad0"),
+                           cycle("quad0", "1")._replace(limit=wrong))
     assert not rep.passed
     assert rep.max_errors[-1] > 0.1
 
@@ -125,6 +125,6 @@ def test_control_shares_the_smallest_s_orbit(key, seed):
     lim = cyc.limit
     shifted = ReducedMap(cpoly.padd(list(lim.num), list(lim.den)),
                          list(lim.den))
-    alone = verify_rescaling(fam, cyc, s_grid=(min(rep.s_values),),
-                             limit_override=shifted)
+    alone = verify_rescaling(fam, cyc._replace(limit=shifted),
+                             s_grid=(min(rep.s_values),))
     assert rep.control_error == alone.max_errors[0]
