@@ -1,13 +1,14 @@
 """Command line front end.
 
 One subcommand per process, one JSON document on stdout.  Exit codes: 0 on
-success, 2 when a consistency assertion or parse error fires, 3 when
-precision, termination, or sampling gives out.  The series truncation is
-decided here, once per run, and passed to every library call: --trunc, else
-the RESCALING_TRUNC environment variable, else 16.  Either knob must be a
-positive integer, or the run ends with exit code 2.  A run that exhausts
-precision is retried with doubled truncation a few times before giving up.  A reader that closes stdout
-early gets no traceback, and the exit code stays the command's own.
+success; on a package error, the ``exit_code`` of its class (2 when the input
+or a checked claim is wrong, 3 when the computation gave out); 2 on any
+other ``ValueError``.  The series truncation is decided here, once per run,
+and passed to every library call: --trunc, else the RESCALING_TRUNC
+environment variable, else 16.  Either knob must be a positive integer, or
+the run ends with exit code 2.  A run that exhausts precision is retried
+with doubled truncation a few times before giving up.  A reader that closes
+stdout early gets no traceback, and the exit code stays the command's own.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from . import cpoly
 from .classify import (DichotomyReport, LimitClassification, PcfReport,
                        classify_limit, quadratic_dichotomy_report)
 from .config import PARSE_RETRY_MAX, default_truncation
-from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
-                     DegreeCapExceeded, GridDegenerate, MixedCoefficients,
-                     ParseError, PrecisionExhausted, RamificationCapExceeded,
-                     RefuseToSample, ToleranceAmbiguous)
+from .errors import PrecisionExhausted, RescalingError
 from .famparse import parse_family, parse_frame
 from .frames import (FrameClass, RescalingCycle, ScanResult, StepResult,
                      advance, cycle_limit_crosscheck, find_cycle,
@@ -34,15 +32,6 @@ from .maps import MapL, ReducedMap, precompose_affine, reduce_family
 from .verify import verify_rescaling
 
 SCHEMA_VERSION = 1
-
-# exit code 2: the input or a checked claim is wrong
-_ASSERTION_ERRORS = (AssertionFailed, ParseError, MixedCoefficients,
-                     ValueError)
-# exit code 3: the computation gave out before reaching an answer
-_RESOURCE_ERRORS = (PrecisionExhausted, AdvanceNotTerminating,
-                    RamificationCapExceeded, DegreeCapExceeded,
-                    ToleranceAmbiguous, DegenerateFamily, GridDegenerate,
-                    RefuseToSample)
 
 
 def _frame_dict(fc: FrameClass) -> Dict:
@@ -341,12 +330,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             retries += 1
             trunc *= 2
             continue
-        except _ASSERTION_ERRORS as exc:
+        except RescalingError as exc:
+            _emit(_error_payload(exc))
+            return exc.exit_code
+        except ValueError as exc:
             _emit(_error_payload(exc))
             return 2
-        except _RESOURCE_ERRORS as exc:
-            _emit(_error_payload(exc))
-            return 3
         _emit(payload)
         return code
 

@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
-Every failure mode that callers are expected to catch gets its own class so
-the CLI can map families of errors onto exit codes without string matching.
+Every failure mode that callers are expected to catch gets its own class,
+and each class carries the CLI exit code it ends in: 2 when the input or a
+checked claim is wrong, 3 (the default) when the computation gave out.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ class RescalingError(Exception):
     ``details`` is an optional mapping of diagnostics; the CLI copies it,
     stringified, into the error payload.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str = "", details: object = None):
         super().__init__(message)
@@ -29,6 +32,8 @@ class PrecisionExhausted(RescalingError):
 
 class MixedCoefficients(RescalingError):
     """Exact and approximate coefficient realizations met in one operation."""
+
+    exit_code = 2
 
 
 class DegenerateFamily(RescalingError):
@@ -69,6 +74,10 @@ class AssertionFailed(RescalingError):
     """A falsifiable structural check (dichotomy, period-set law, degree
     accounting) failed; carries a diagnostic payload in ``details``."""
 
+    exit_code = 2
+
 
 class ParseError(RescalingError):
     """A family, substitution, or frame expression is malformed."""
+
+    exit_code = 2

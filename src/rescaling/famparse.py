@@ -7,6 +7,10 @@ negative; t alone may carry a rational exponent, written t^(p/q).  Decimal
 literals are accepted and switch the whole family to approximate
 coefficients.
 
+The parser evaluates as it reads, with no parse tree: each grammar rule
+returns the value of its text.  Float literals and a z where only t may
+appear are found by scanning the tokens.
+
 A substitution t -> expr(t) is applied once, at build time, to the parsed
 family.  Fractional t-exponents cannot be combined with a substitution,
 since the result would need fractional powers of a general series.
@@ -18,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import wraps
 from math import inf
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
 from .errors import DegenerateFamily, ParseError
@@ -29,9 +33,11 @@ from .puiseux import PuiseuxSeries
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+)|(\d+)|([izt])|(->)|([-+*/^(),]))")
 
+Token = Tuple[str, object]
 
-def _tokenize(text: str) -> List[Tuple[str, object]]:
-    out: List[Tuple[str, object]] = []
+
+def _tokenize(text: str) -> List[Token]:
+    out: List[Token] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -55,19 +61,39 @@ def _tokenize(text: str) -> List[Tuple[str, object]]:
     return out
 
 
-# AST nodes are tuples: ("int", n), ("float", x), ("i",), ("z",), ("t",),
-# ("neg", a), ("add"/"sub"/"mul"/"div", a, b), ("pow", a, Fraction)
+def _has(tokens: List[Token], kind: str) -> bool:
+    return any(k == kind for k, _ in tokens)
 
 
 class _Parser:
-    def __init__(self, tokens: List[Tuple[str, object]]):
+    """Recursive descent in which every rule returns the :class:`_Rat`
+    value of the text it read; t stands for ``subst`` if one is given."""
+
+    def __init__(self, tokens: List[Token], ftype: type,
+                 subst: Optional[PuiseuxSeries] = None):
         self.toks = tokens
         self.pos = 0
+        self.ftype = ftype
+        self.one = PuiseuxSeries.one(inf, ftype)
+        self.subst = subst
+        self.t = (PuiseuxSeries.t_power(1, 1, inf, ftype) if subst is None
+                  else subst)
+        # a base raised to the power 0 is read without dividing or raising
+        # to powers, so (1/0)^0 and (z^99999)^0 are 1
+        self.skip = 0
+        # index of each "(" -> index of its ")"
+        self.close: Dict[int, int] = {}
+        opened = []
+        for k, (kind, _) in enumerate(tokens):
+            if kind == "(":
+                opened.append(k)
+            elif kind == ")" and opened:
+                self.close[opened.pop()] = k
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
-    def take(self, kind: str = None) -> Tuple[str, object]:
+    def take(self, kind: str = None) -> Token:
         if self.pos >= len(self.toks):
             raise ParseError("unexpected end of expression")
         tok = self.toks[self.pos]
@@ -76,58 +102,101 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> tuple:
-        node = self.expr()
+    def const(self, series: PuiseuxSeries) -> _Rat:
+        return _Rat([series], [self.one])
+
+    def parse(self) -> _Rat:
+        val = self.expr()
         if self.pos != len(self.toks):
             raise ParseError(f"trailing input from token {self.peek()!r}")
-        return node
+        return val
 
-    def expr(self) -> tuple:
-        node = self.term()
+    def expr(self) -> _Rat:
+        val = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            val = val + (rhs if op == "+" else -rhs)
+        return val
 
-    def term(self) -> tuple:
-        node = self.factor()
+    def term(self) -> _Rat:
+        val = self.factor()
         while self.peek() in ("*", "/"):
             op = self.take()[0]
             rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            val = val * (rhs if op == "*" or self.skip else rhs.flipped())
+        return val
 
-    def factor(self) -> tuple:
+    def factor(self) -> _Rat:
         if self.peek() == "-":
             self.take()
-            return ("neg", self.factor())
+            return -self.factor()
         if self.peek() == "+":
             self.take()
             return self.factor()
-        node = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.exponent()
-            if exp.denominator != 1 and node != ("t",):
+        start = self.pos
+        unused = self._raised_to_zero(self.close.get(start, start) + 1)
+        self.skip += unused
+        val = self.atom()
+        self.skip -= unused
+        if self.peek() != "^":
+            return val
+        base = [k for k, _ in self.toks[start:self.pos]
+                if k not in ("(", "+", ")")]
+        self.take()
+        exp = self.exponent()
+        # t alone: inside parentheses and unary pluses at most
+        if exp.denominator != 1 and base != ["t"]:
+            raise ParseError("fractional exponents are allowed on t alone")
+        if self.skip:
+            return val
+        if exp.denominator != 1:
+            if self.subst is not None:
                 raise ParseError(
-                    "fractional exponents are allowed on t alone")
-            node = ("pow", node, exp)
-        return node
+                    "fractional t-exponents cannot follow a substitution")
+            return self.const(PuiseuxSeries.t_power(exp, 1, inf,
+                                                    self.ftype))
+        n = int(exp)
+        if n == 0:
+            return self.const(self.one)
+        _check_degree((max(len(val.num), len(val.den)) - 1) * abs(n))
+        if n < 0:
+            val, n = val.flipped(), -n
+        out = val
+        for _ in range(n - 1):
+            out = out * val
+        return out
 
-    def atom(self) -> tuple:
+    def _raised_to_zero(self, k: int) -> bool:
+        """Whether a "^" at token k starts the exponent 0."""
+        toks = self.toks
+        if k >= len(toks) or toks[k][0] != "^":
+            return False
+        for kind in ("(", "-"):
+            if k + 1 < len(toks) and toks[k + 1][0] == kind:
+                k += 1
+        return k + 1 < len(toks) and toks[k + 1] == ("int", 0)
+
+    def atom(self) -> _Rat:
         kind, value = self.take()
-        if kind == "int":
-            return ("int", value)
-        if kind == "float":
-            return ("float", value)
-        if kind in ("i", "z", "t"):
-            return (kind,)
         if kind == "(":
-            node = self.expr()
+            val = self.expr()
             self.take(")")
-            return node
-        raise ParseError(f"unexpected token {kind!r}")
+            return val
+        if kind not in ("int", "float", "i", "z", "t"):
+            raise ParseError(f"unexpected token {kind!r}")
+        if kind == "z":
+            return _Rat([PuiseuxSeries.zero(inf, self.ftype), self.one],
+                        [self.one])
+        if kind == "t":
+            return self.const(self.t)
+        if kind == "i":
+            if self.ftype is GaussianRational:
+                value = GaussianRational(0, 1)
+            else:
+                value = ApproxComplex(0.0, 1.0)
+        return self.const(PuiseuxSeries.constant(
+            self.ftype.coerce(value), inf, self.ftype))
 
     def exponent(self) -> Fraction:
         paren = self.peek() == "("
@@ -147,16 +216,6 @@ class _Parser:
         if paren:
             self.take(")")
         return Fraction(sign * p, q)
-
-
-def _uses(node: tuple, name: str) -> bool:
-    if node[0] == name:
-        return True
-    return any(isinstance(c, tuple) and _uses(c, name) for c in node[1:])
-
-
-def _has_float(node: tuple) -> bool:
-    return _uses(node, "float")
 
 
 class _Rat:
@@ -185,70 +244,6 @@ class _Rat:
         return _Rat(self.den, self.num)
 
 
-class _Evaluator:
-    def __init__(self, ftype: type, tserie: PuiseuxSeries,
-                 subst_active: bool, allow_z: bool):
-        self.ftype = ftype
-        self.t = tserie
-        self.subst_active = subst_active
-        self.allow_z = allow_z
-
-    def const(self, series: PuiseuxSeries) -> _Rat:
-        return _Rat([series], [PuiseuxSeries.one(inf, self.ftype)])
-
-    def run(self, node: tuple) -> _Rat:
-        kind = node[0]
-        if kind == "int":
-            return self.const(PuiseuxSeries.constant(
-                self.ftype.coerce(node[1]), inf, self.ftype))
-        if kind == "float":
-            return self.const(PuiseuxSeries.constant(
-                self.ftype.coerce(node[1]), inf, self.ftype))
-        if kind == "i":
-            if self.ftype is GaussianRational:
-                unit = GaussianRational(0, 1)
-            else:
-                unit = ApproxComplex(0.0, 1.0)
-            return self.const(PuiseuxSeries.constant(unit, inf, self.ftype))
-        if kind == "t":
-            return self.const(self.t)
-        if kind == "z":
-            if not self.allow_z:
-                raise ParseError("z is not allowed in this expression")
-            one = PuiseuxSeries.one(inf, self.ftype)
-            return _Rat([PuiseuxSeries.zero(inf, self.ftype), one], [one])
-        if kind == "neg":
-            return -self.run(node[1])
-        if kind == "add":
-            return self.run(node[1]) + self.run(node[2])
-        if kind == "sub":
-            return self.run(node[1]) + (-self.run(node[2]))
-        if kind == "mul":
-            return self.run(node[1]) * self.run(node[2])
-        if kind == "div":
-            return self.run(node[1]) * self.run(node[2]).flipped()
-        if kind == "pow":
-            base, exp = node[1], node[2]
-            if exp.denominator != 1:
-                if self.subst_active:
-                    raise ParseError(
-                        "fractional t-exponents cannot follow a substitution")
-                return self.const(PuiseuxSeries.t_power(exp, 1, inf,
-                                                        self.ftype))
-            n = int(exp)
-            if n == 0:
-                return self.const(PuiseuxSeries.one(inf, self.ftype))
-            val = self.run(base)
-            _check_degree((max(len(val.num), len(val.den)) - 1) * abs(n))
-            if n < 0:
-                val, n = val.flipped(), -n
-            out = val
-            for _ in range(n - 1):
-                out = out * val
-            return out
-        raise ParseError(f"unknown node {kind!r}")
-
-
 def _check_degree(degree: int) -> None:
     """Refuse a z-degree past the iterate cap before anything that large
     is expanded."""
@@ -258,18 +253,15 @@ def _check_degree(degree: int) -> None:
             details={"degree": degree, "cap": ITERATE_DEGREE_CAP})
 
 
-def _eval_subst(text: str, ftype: type, trunc) -> PuiseuxSeries:
-    node = _Parser(_tokenize(text)).parse()
-    if _uses(node, "z"):
-        raise ParseError("substitution may only involve t")
-    tserie = PuiseuxSeries.t_power(1, 1, inf, ftype)
-    rat = _Evaluator(ftype, tserie, False, allow_z=False).run(node)
+def _t_series(tokens: List[Token], ftype: type, trunc,
+              what: str) -> PuiseuxSeries:
+    """The series in t that a substitution or a frame center spells."""
+    if _has(tokens, "z"):
+        raise ParseError(f"{what} may only involve t")
+    rat = _Parser(tokens, ftype).parse()
     num, den = rat.num[0], rat.den[0]
     prec = None if den.is_exact and len(den.terms) <= 1 else trunc
-    series = num * den.inverse(prec=prec)
-    if not series.terms:
-        raise ParseError("substitution must be a nonzero series in t")
-    return series
+    return num * den.inverse(prec=prec)
 
 
 def _depth_checked(parse):
@@ -298,18 +290,15 @@ def parse_family(text: str, subst: Optional[str] = None,
     5
     """
     tokens = _tokenize(text)
-    node = _Parser(tokens).parse()
-    approx = _has_float(node) or (subst is not None
-                                  and _has_float(_Parser(
-                                      _tokenize(subst)).parse()))
+    subst_tokens = _tokenize(subst) if subst is not None else []
+    approx = _has(tokens, "float") or _has(subst_tokens, "float")
     ftype = ApproxComplex if approx else GaussianRational
+    tserie = None
     if subst is not None:
-        tserie = _eval_subst(subst, ftype, trunc)
-        subst_active = True
-    else:
-        tserie = PuiseuxSeries.t_power(1, 1, inf, ftype)
-        subst_active = False
-    rat = _Evaluator(ftype, tserie, subst_active, allow_z=True).run(node)
+        tserie = _t_series(subst_tokens, ftype, trunc, "substitution")
+        if not tserie.terms:
+            raise ParseError("substitution must be a nonzero series in t")
+    rat = _Parser(tokens, ftype, tserie).parse()
     num, den = rat.num, rat.den
     # common-denominator addition of z^-k terms leaves a shared z^k factor;
     # strip it so the stated degree is the true one
@@ -344,13 +333,7 @@ def parse_frame(text: str, trunc=DEFAULT_TRUNC,
         raise ParseError(f"bad zoom exponent {head!r}: {exc}") from None
     if not rest.strip():
         return AffineFrame(h, PuiseuxSeries.zero(inf, ftype))
-    node = _Parser(_tokenize(rest)).parse()
-    if _uses(node, "z"):
-        raise ParseError("frame center may only involve t")
-    if _has_float(node):
+    tokens = _tokenize(rest)
+    if _has(tokens, "float"):
         ftype = ApproxComplex
-    tserie = PuiseuxSeries.t_power(1, 1, inf, ftype)
-    rat = _Evaluator(ftype, tserie, False, allow_z=False).run(node)
-    num, den = rat.num[0], rat.den[0]
-    prec = None if den.is_exact and len(den.terms) <= 1 else trunc
-    return AffineFrame(h, num * den.inverse(prec=prec))
+    return AffineFrame(h, _t_series(tokens, ftype, trunc, "frame center"))

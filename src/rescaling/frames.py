@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, DEFAULT_TRUNC,
                      RAMIFICATION_CAP)
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
-                     DegreeCapExceeded, PrecisionExhausted,
-                     RamificationCapExceeded, ToleranceAmbiguous)
+                     PrecisionExhausted, RamificationCapExceeded,
+                     ToleranceAmbiguous)
 from .coefficients import GaussianRational
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
                    compose_families, compose_reduced, conjugate,

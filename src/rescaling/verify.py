@@ -199,10 +199,14 @@ def verify_rescaling(fam: MapL, cycle: RescalingCycle,
     Passing means the worst chordal error at the smallest s is within the
     tolerance and the shifted control map is rejected at the same tolerance.
     ``ray`` rotates the sampling direction: s runs along ray * |s|.
-    ``grid_points`` must be at least 1.
+    ``grid_points`` must be at least 1, and every entry of ``s_grid``, a
+    magnitude |s|, positive and finite.
     """
     if grid_points < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_points}")
+    if not all(s > 0 and isfinite(s) for s in s_grid):
+        raise ValueError(f"s-grid magnitudes must be positive and finite, "
+                         f"got {list(s_grid)}")
     limit = cycle.limit
     ram = _ramification(fam, cycle)
     s_grid = sorted(s_grid, reverse=True)

@@ -13,7 +13,7 @@ import pytest
 import rescaling
 import rescaling.frames as frames_mod
 import rescaling.maps as maps_mod
-from rescaling import cli
+from rescaling import cli, errors
 from rescaling.config import CENTER_HEIGHT_CAP, ITERATE_DEGREE_CAP
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
 
@@ -120,6 +120,62 @@ def test_empty_check_range_exits_2(capsys, argv):
     assert doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("grid", ["1e-4,-0.3", "-1e-3", "0", "nan", "inf"])
+def test_s_grid_magnitude_must_be_positive_and_finite(capsys, grid):
+    code, doc = run(capsys, "verify", QUAD0, "--frame", "1", "--points", "60",
+                    f"--s-grid={grid}")
+    assert code == 2
+    assert doc["error"]["type"] == "ValueError"
+
+
+def test_s_grid_order_does_not_matter(capsys):
+    argv = ("verify", QUAD0, "--frame", "1", "--points", "60")
+    code, doc = run(capsys, *argv, "--s-grid=1e-4,0.3")
+    assert code == 0
+    assert doc["verification"][0]["s_values"] == [0.3, 1e-4]
+    assert run(capsys, *argv, "--s-grid=0.3,1e-4") == (code, doc)
+
+
+# the exit code each package error ends in; a class added to errors must be
+# added here
+EXIT_CODES = {
+    "PrecisionExhausted": 3, "MixedCoefficients": 2, "DegenerateFamily": 3,
+    "AdvanceNotTerminating": 3, "RamificationCapExceeded": 3,
+    "DegreeCapExceeded": 3, "GridDegenerate": 3, "RefuseToSample": 3,
+    "ToleranceAmbiguous": 3, "AssertionFailed": 2, "ParseError": 2,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == set(EXIT_CODES) | {"RescalingError"}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_class_exit_code(capsys, monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "parse_family", fail)
+    code, doc = run(capsys, "reduce", "z^2")
+    assert code == EXIT_CODES[name]
+    assert doc["error"] == {"type": name, "message": "boom"}
+
+
+def test_new_error_class_takes_the_default_exit_code(capsys, monkeypatch):
+    class Unlisted(errors.RescalingError):
+        pass
+
+    def fail(*args, **kwargs):
+        raise Unlisted("boom")
+
+    monkeypatch.setattr(cli, "parse_family", fail)
+    assert run(capsys, "reduce", "z^2") == (
+        3, {"schema_version": 1,
+            "error": {"type": "Unlisted", "message": "boom"}})
+
+
 def test_period_max_zero_is_off(capsys):
     code, doc = run(capsys, "orbit", QUAD0, "--frame", "1",
                     "--period-max", "0")
@@ -151,8 +207,8 @@ def test_parse_error_exits_2(capsys):
 
 @pytest.mark.parametrize("nest", [
     lambda x: "(" * 3000 + x + ")" * 3000,  # the parser recurses per level
-    lambda x: x + ("+" + x) * 3000,  # parsed in a loop; tree walks recurse
-], ids=["parentheses", "long_sum"])
+    lambda x: x + "*" + "-" * 3000 + x,  # and per unary minus
+], ids=["parentheses", "unary_minus"])
 def test_deep_nesting_is_a_parse_error(capsys, nest):
     for argv in (("reduce", nest("z")),
                  ("advance", "z^2", "--frame", "1, " + nest("t"))):
@@ -160,6 +216,18 @@ def test_deep_nesting_is_a_parse_error(capsys, nest):
         assert code == 2
         assert doc["error"] == {"type": "ParseError",
                                 "message": "expression nested too deeply"}
+
+
+def test_long_flat_sum_parses(capsys):
+    # a sum is read in a loop, so its length is not a nesting depth
+    code, doc = run(capsys, "reduce", "z" + "+z" * 3000)
+    assert code == 0
+    assert doc["reduced"]["map"] == "3001*z"
+    code, doc = run(capsys, "advance", "z^2", "--frame", "2, t" + "+t" * 3000)
+    assert code == 0
+    assert doc["step"]["source"] == {"h": "2", "center": "3001*t"}
+    assert doc["frames"] == run(capsys, "advance", "z^2", "--frame",
+                                "2, 3001*t")[1]["frames"]
 
 
 @pytest.mark.parametrize("family,degree", [

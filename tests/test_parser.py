@@ -38,6 +38,36 @@ def test_fractional_exponent_on_t():
     assert fam.num[0].valuation() == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("base", ["(t)", "((t))"])
+def test_fractional_exponent_on_parenthesised_t(base):
+    fam = parse_family(f"z^2 + {base}^(1/2)")
+    assert fam.num[0].valuation() == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("base", ["(t+0)", "(2*t)"])
+def test_fractional_exponent_on_t_expression_rejected(base):
+    with pytest.raises(ParseError, match="allowed on t alone"):
+        parse_family(f"z^2 + {base}^(1/2)")
+
+
+@pytest.mark.parametrize("text,subst", [
+    ("(1/(t-t))^0", None),
+    ("(z^99999)^-0", None),
+    ("((z+1)^70/(1-1))^(0/3)", None),
+    ("(t^(1/2))^0", "-1+t"),
+])
+def test_base_raised_to_zero_is_not_evaluated(text, subst):
+    # the base is read, so its syntax must hold, but it is neither divided
+    # nor raised to powers: the factor is 1
+    fam = parse_family(f"z^2 + {text}", subst=subst)
+    assert str(fam) == str(parse_family("z^2 + 1"))
+
+
+def test_base_raised_to_zero_must_still_parse():
+    with pytest.raises(ParseError, match="unexpected token"):
+        parse_family("z^2 + (1/(t-t)*)^0")
+
+
 def test_fractional_exponent_on_z_rejected():
     with pytest.raises(ParseError, match="allowed on t alone"):
         parse_family("z^(1/2)")

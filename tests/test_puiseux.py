@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from rescaling import (GaussianRational, MixedCoefficients, PrecisionExhausted,
