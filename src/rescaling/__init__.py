@@ -8,13 +8,12 @@ limits are classified (multiple fixed points, polynomial-like ends,
 postcritical finiteness) and numerically spot-checked at small parameters.
 """
 
-from .coefficients import ApproxComplex, GaussianRational
+from .coefficients import GaussianRational
 from .config import default_truncation
 from .errors import (AdvanceNotTerminating, AssertionFailed,
                      DegenerateFamily, DegreeCapExceeded, GridDegenerate,
-                     MixedCoefficients, ParseError, PrecisionExhausted,
-                     RamificationCapExceeded, RefuseToSample, RescalingError,
-                     ToleranceAmbiguous)
+                     ParseError, PrecisionExhausted, RamificationCapExceeded,
+                     RefuseToSample, RescalingError, ToleranceAmbiguous)
 from .puiseux import PuiseuxSeries
 from .maps import (AffineFrame, MapL, ReducedMap, compose_families,
                    compose_reduced, conjugate, gauss_normalize,
@@ -35,13 +34,12 @@ from .famparse import parse_family, parse_frame
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvanceNotTerminating", "AffineFrame", "ApproxComplex",
-    "AssertionFailed", "DegenerateFamily", "DegreeCapExceeded",
-    "DichotomyReport", "FrameClass",
+    "AdvanceNotTerminating", "AffineFrame", "AssertionFailed",
+    "DegenerateFamily", "DegreeCapExceeded", "DichotomyReport", "FrameClass",
     "GaussianRational", "GridDegenerate", "LimitClassification", "MapL",
-    "MixedCoefficients", "ParseError", "PcfReport", "PeriodSetReport",
-    "PrecisionExhausted", "PuiseuxSeries", "RamificationCapExceeded",
-    "ReducedMap", "RefuseToSample", "RescalingCycle", "RescalingError",
+    "ParseError", "PcfReport", "PeriodSetReport", "PrecisionExhausted",
+    "PuiseuxSeries", "RamificationCapExceeded", "ReducedMap",
+    "RefuseToSample", "RescalingCycle", "RescalingError",
     "ScanResult", "StepResult", "ToleranceAmbiguous", "VerificationReport",
     "advance", "canonicalize", "chordal_distance", "classify_limit",
     "compose_families", "compose_reduced", "conjugate",

@@ -3,8 +3,9 @@
 Three predicates drive the reports: whether a map has a multiple fixed
 point, whether it is conjugate to a polynomial (some point is totally
 invariant), and whether it is postcritically finite.  Exact maps get
-certified answers where the arithmetic allows; everything numeric is labeled
-as such in the status.
+certified answers where the arithmetic allows; critical points outside Q(i)
+are followed numerically, and those verdicts are labeled as such in the
+status.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from . import cpoly
 from .config import PCF_CLUSTER_TOL, PCF_HEIGHT_BITS, PCF_MAX_ITER
 from .errors import AssertionFailed
-from .coefficients import ApproxComplex, Coefficient, GaussianRational
+from .coefficients import GaussianRational
 from .maps import ReducedMap
 
 PCF_CERTIFIED = "PCF_Certified"
@@ -40,7 +41,7 @@ def multiple_fixed_point(g: ReducedMap) -> bool:
     root is a vanishing discriminant.
     """
     d = g.degree
-    fixed = cpoly.psub(list(g.num), [_zero(g)] + list(g.den))
+    fixed = cpoly.psub(list(g.num), [GaussianRational.zero()] + list(g.den))
     fixed = cpoly.trim(fixed)
     if not fixed:
         return True  # the identity: every fixed point degenerate
@@ -65,13 +66,9 @@ def polynomial_like(g: ReducedMap) -> Tuple[bool, Optional[Point]]:
         return False, None
     if cpoly.degree(g.den) <= 0:
         return True, INFINITY
-    fixed = cpoly.trim(cpoly.psub(list(g.num), [_zero(g)] + list(g.den)))
-    if isinstance(_one(g), ApproxComplex):
-        candidates = [ApproxComplex(r.real, r.imag)
-                      for r in cpoly.roots_numeric(fixed)]
-    else:
-        candidates = [r for r, _ in cpoly.roots_exact(fixed)[0]]
-    for z0 in candidates:
+    fixed = cpoly.trim(cpoly.psub(list(g.num),
+                                  [GaussianRational.zero()] + list(g.den)))
+    for z0, _ in cpoly.roots_exact(fixed)[0]:
         shifted = cpoly.trim(cpoly.psub(list(g.num),
                                         cpoly.pscale(list(g.den), z0)))
         if cpoly.degree(shifted) != d:
@@ -82,19 +79,12 @@ def polynomial_like(g: ReducedMap) -> Tuple[bool, Optional[Point]]:
     return False, None
 
 
-def _linear_power(z0: Coefficient, d: int) -> cpoly.Poly:
-    out = [type(z0).one()]
+def _linear_power(z0: GaussianRational, d: int) -> cpoly.Poly:
+    one = GaussianRational.one()
+    out = [one]
     for _ in range(d):
-        out = cpoly.pmul(out, [-z0, type(z0).one()])
+        out = cpoly.pmul(out, [-z0, one])
     return out
-
-
-def _zero(g: ReducedMap) -> Coefficient:
-    return type((g.num or g.den)[0]).zero()
-
-
-def _one(g: ReducedMap) -> Coefficient:
-    return type((g.num or g.den)[0]).one()
 
 
 class PcfReport(NamedTuple):
@@ -112,8 +102,8 @@ def pcf_check(g: ReducedMap, max_iter: int = PCF_MAX_ITER) -> PcfReport:
     Monomials short-circuit: their critical orbits live in {0, infinity}.
     Exact critical points get exact orbits with repeat detection, a height
     cap, and (for polynomials) a certified escape radius; critical points
-    outside the coefficient field, and all approximate maps, fall back to
-    numeric orbits whose verdicts are never labeled certified.
+    outside Q(i) fall back to numeric orbits whose verdicts are never
+    labeled certified.
     """
     d = g.degree
     if _is_monomial(g):
@@ -125,12 +115,6 @@ def pcf_check(g: ReducedMap, max_iter: int = PCF_MAX_ITER) -> PcfReport:
         cpoly.pmul(cpoly.pderiv(list(g.num)), list(g.den)),
         cpoly.pmul(list(g.num), cpoly.pderiv(list(g.den)))))
     inf_mult = (2 * d - 2) - max(cpoly.degree(wron), 0)
-    if isinstance(_one(g), ApproxComplex):
-        crits: List[object] = list(cpoly.roots_numeric(wron))
-        if inf_mult > 0:
-            crits.append(INFINITY)
-        return _pcf_numeric(g, crits, certified_empty=False,
-                            max_iter=max_iter)
     gauss_crits, rest = cpoly.roots_exact(wron)
     crits = [r for r, _ in gauss_crits]
     if inf_mult > 0:
@@ -157,8 +141,7 @@ def pcf_check(g: ReducedMap, max_iter: int = PCF_MAX_ITER) -> PcfReport:
         num_crits: List[object] = []
         for fac, _ in rest:
             num_crits.extend(cpoly.roots_numeric(fac))
-        sub = _pcf_numeric(g, num_crits, certified_empty=True,
-                           max_iter=max_iter)
+        sub = _pcf_numeric(g, num_crits, max_iter)
         merged = dict(orbits)
         merged.update(sub.orbits)
         # certification is lost once any orbit is tracked numerically
@@ -229,7 +212,7 @@ def _apply_exact(g: ReducedMap, z: Point) -> Point:
 
 
 def _pcf_numeric(g: ReducedMap, crits: Sequence[object],
-                 certified_empty: bool, max_iter: int) -> PcfReport:
+                 max_iter: int) -> PcfReport:
     orbits: Dict[str, str] = {}
     all_periodic = True
     diverged = False
@@ -242,7 +225,7 @@ def _pcf_numeric(g: ReducedMap, crits: Sequence[object],
             all_periodic = False
         elif verdict != "numeric-periodic":
             all_periodic = False
-    if all_periodic and (crits or certified_empty):
+    if all_periodic:
         return PcfReport(PCF_NUMERIC, False, orbits)
     if diverged:
         return PcfReport(NOT_PCF_WITHIN, False, orbits)

@@ -133,7 +133,7 @@ def _cmd_reduce(args, trunc) -> Outcome:
     payload["family"]["degree"] = fam.degree
     work = fam
     if args.frame is not None:
-        frame = parse_frame(args.frame, trunc, fam.ftype)
+        frame = parse_frame(args.frame, trunc)
         work = precompose_affine(fam, frame)
         payload["frames"].append(
             {"h": str(frame.h), "center": str(frame.c)})
@@ -143,7 +143,7 @@ def _cmd_reduce(args, trunc) -> Outcome:
 
 def _cmd_advance(args, trunc) -> Outcome:
     fam = parse_family(args.family, args.subst, trunc)
-    frame = parse_frame(args.frame, trunc, fam.ftype)
+    frame = parse_frame(args.frame, trunc)
     st = advance(fam, frame)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -154,7 +154,7 @@ def _cmd_advance(args, trunc) -> Outcome:
 
 def _cmd_orbit(args, trunc) -> Outcome:
     fam = parse_family(args.family, args.subst, trunc)
-    seed = parse_frame(args.frame, trunc, fam.ftype)
+    seed = parse_frame(args.frame, trunc)
     cycle = find_cycle(fam, seed, args.max_steps)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -204,7 +204,7 @@ def _cmd_scan(args, trunc) -> Outcome:
 
 def _cmd_verify(args, trunc) -> Outcome:
     fam = parse_family(args.family, args.subst, trunc)
-    seed = parse_frame(args.frame, trunc, fam.ftype)
+    seed = parse_frame(args.frame, trunc)
     cycle = find_cycle(fam, seed, args.max_steps)
     s_grid = tuple(float(s) for s in args.s_grid.split(","))
     report = verify_rescaling(fam, cycle, s_grid=s_grid, tol=args.tol,

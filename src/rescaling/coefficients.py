@@ -1,17 +1,10 @@
-"""Coefficient fields for series arithmetic.
+"""The coefficient field of series arithmetic: the Gaussian rationals.
 
-Two realizations of the residue field:
-
-* :class:`GaussianRational` -- exact (x + y*i)/d over Python ints.
-  Supports decidable zero tests, hashing, and exact division.
-* :class:`ApproxComplex` -- a complex double with an explicit zero
-  threshold, for families whose constants are not Gaussian rational.
-
-A single computation never mixes the two; binary operations between them
-raise :class:`~rescaling.errors.MixedCoefficients`.  Python ints and
-Fractions coerce into either realization, so polynomial code can be written
-once against the shared surface (``+ - * /``, ``is_zero``, ``inverse``,
-``abs2``, ``to_complex``).
+:class:`GaussianRational` is an exact (x + y*i)/d over Python ints, with
+decidable zero tests, hashing and exact division.  Every family the parser
+reads lies over Q(i), since decimal literals are read as exact rationals.
+Python ints and Fractions coerce into it.  Numeric work outside Q(i), such
+as roots of irreducible factors, leaves the field through ``to_complex``.
 """
 
 from __future__ import annotations
@@ -19,9 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
-
-from .config import APPROX_ZERO_THRESHOLD
-from .errors import MixedCoefficients
 
 RationalLike = Union[int, Fraction]
 
@@ -75,7 +65,7 @@ class GaussianRational:
             return value
         if isinstance(value, (int, Fraction)):
             return cls(value)
-        raise MixedCoefficients(
+        raise TypeError(
             f"cannot coerce {type(value).__name__} into GaussianRational")
 
     @property
@@ -243,156 +233,4 @@ def _as_gaussian(value):
         return _make(int(value), 0, 1)
     if isinstance(value, Fraction):
         return _make(value.numerator, 0, value.denominator)
-    if isinstance(value, ApproxComplex):
-        raise MixedCoefficients(
-            "exact and approximate coefficients in one operation")
     return None
-
-
-class ApproxComplex:
-    """A complex double carrying the zero threshold it was computed under.
-
-    Anything of magnitude below ``zero_threshold`` is treated as zero, both
-    by :attr:`is_zero` and by equality.  Thresholds propagate through
-    arithmetic as the max of the operands'.
-    """
-
-    __slots__ = ("re", "im", "zero_threshold")
-
-    def __init__(self, re: float = 0.0, im: float = 0.0,
-                 zero_threshold: float = APPROX_ZERO_THRESHOLD):
-        self.re = float(re)
-        self.im = float(im)
-        self.zero_threshold = float(zero_threshold)
-
-    @classmethod
-    def zero(cls) -> ApproxComplex:
-        return cls(0.0, 0.0)
-
-    @classmethod
-    def one(cls) -> ApproxComplex:
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def coerce(cls, value) -> ApproxComplex:
-        if isinstance(value, ApproxComplex):
-            return value
-        if isinstance(value, (int, float, Fraction)):
-            return cls(float(value))
-        if isinstance(value, complex):
-            return cls(value.real, value.imag)
-        raise MixedCoefficients(
-            f"cannot coerce {type(value).__name__} into ApproxComplex")
-
-    @property
-    def is_zero(self) -> bool:
-        return abs(complex(self.re, self.im)) < self.zero_threshold
-
-    @property
-    def is_one(self) -> bool:
-        return abs(complex(self.re - 1.0, self.im)) < self.zero_threshold
-
-    def abs2(self) -> float:
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> ApproxComplex:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of (numerically) zero coefficient")
-        v = 1.0 / complex(self.re, self.im)
-        return ApproxComplex(v.real, v.imag, self.zero_threshold)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def _combine(self, other, value: complex) -> ApproxComplex:
-        return ApproxComplex(value.real, value.imag,
-                             max(self.zero_threshold, other.zero_threshold))
-
-    def __add__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, self.to_complex() + other.to_complex())
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, self.to_complex() - other.to_complex())
-
-    def __rsub__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, self.to_complex() * other.to_complex())
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self):
-        return ApproxComplex(-self.re, -self.im, self.zero_threshold)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        v = self.to_complex() ** n
-        return ApproxComplex(v.real, v.imag, self.zero_threshold)
-
-    def __eq__(self, other):
-        other = _as_approx(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero
-
-    __hash__ = None  # float-backed; never used as a dict key
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __str__(self):
-        if abs(self.im) < self.zero_threshold:
-            return f"{self.re:.12g}"
-        if abs(self.re) < self.zero_threshold:
-            return f"{self.im:.12g}i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re:.12g}{sign}{abs(self.im):.12g}i"
-
-    def __repr__(self):
-        return f"ApproxComplex({self.re!r}, {self.im!r})"
-
-
-def _as_approx(value):
-    if isinstance(value, ApproxComplex):
-        return value
-    if isinstance(value, (int, float, Fraction)):
-        return ApproxComplex(float(value))
-    if isinstance(value, complex):
-        return ApproxComplex(value.real, value.imag)
-    if isinstance(value, GaussianRational):
-        raise MixedCoefficients(
-            "exact and approximate coefficients in one operation")
-    return None
-
-
-Coefficient = Union[GaussianRational, ApproxComplex]

@@ -48,9 +48,6 @@ VERIFY_TOL = 1e-3
 VERIFY_TAIL_BOUND = 1e-15
 VERIFY_MAX_DROP = 0.10
 
-#: Magnitudes below this are treated as zero in approximate mode.
-APPROX_ZERO_THRESHOLD = 1e-12
-
 #: How many times parse-level retries double the truncation.
 PARSE_RETRY_MAX = 4
 

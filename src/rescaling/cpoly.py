@@ -4,10 +4,10 @@ Polynomials are lists of coefficients in ascending degree order, all of one
 coefficient type.  :func:`padd`, :func:`psub`, :func:`pscale` and
 :func:`peval` need only ``+``, ``-`` and ``*``, and :func:`trim` and
 :func:`degree` only an ``is_zero`` test besides, so these serve any ring:
-residues (exact or approximate), Puiseux series, and plain ``complex``,
-which has no ``is_zero`` and so is never trimmed.  The rest run over a
-residue field: they call the coefficient type's ``zero()``, ``inverse`` or
-``/``, and the coefficient type's zero test decides what counts as zero.
+residues, Puiseux series, and plain ``complex``, which has no ``is_zero``
+and so is never trimmed.  The rest run over the residue field Q(i), as
+:class:`~rescaling.coefficients.GaussianRational`, where every zero test is
+exact.
 """
 
 from __future__ import annotations
@@ -15,33 +15,28 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .coefficients import ApproxComplex, Coefficient, GaussianRational
+from .coefficients import GaussianRational
 
-Poly = List[Coefficient]
-
-# Numeric root matching below this distance counts as a common root.  Double
-# roots of a double-precision polynomial are located to about 1e-8, so the
-# tolerance is kept well above that.
-ROOT_MATCH_TOL = 1e-6
+Poly = List[GaussianRational]
 
 
-def trim(p: Sequence[Coefficient]) -> Poly:
+def trim(p: Sequence[GaussianRational]) -> Poly:
     out = list(p)
     while out and out[-1].is_zero:
         out.pop()
     return out
 
 
-def degree(p: Sequence[Coefficient]) -> int:
+def degree(p: Sequence[GaussianRational]) -> int:
     """Degree of p, with the zero polynomial mapped to -1."""
     return len(trim(p)) - 1
 
 
-def is_zero_poly(p: Sequence[Coefficient]) -> bool:
+def is_zero_poly(p: Sequence[GaussianRational]) -> bool:
     return not trim(p)
 
 
-def padd(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
+def padd(p: Sequence[GaussianRational], q: Sequence[GaussianRational]) -> Poly:
     n = max(len(p), len(q))
     out = []
     for i in range(n):
@@ -54,34 +49,31 @@ def padd(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
     return out
 
 
-def psub(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
+def psub(p: Sequence[GaussianRational], q: Sequence[GaussianRational]) -> Poly:
     return padd(p, [-c for c in q])
 
 
-def pscale(p: Sequence[Coefficient], c: Coefficient) -> Poly:
+def pscale(p: Sequence[GaussianRational], c: GaussianRational) -> Poly:
     return [ci * c for ci in p]
 
 
-def pmul(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
+def pmul(p: Sequence[GaussianRational], q: Sequence[GaussianRational]) -> Poly:
     p, q = trim(p), trim(q)
     if not p or not q:
         return []
-    ftype = type(p[0])
-    out = [ftype.zero() for _ in range(len(p) + len(q) - 1)]
+    out = [GaussianRational.zero()] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return out
 
 
-def pdivmod(p: Sequence[Coefficient],
-            q: Sequence[Coefficient]) -> Tuple[Poly, Poly]:
-    """Quotient and remainder of p by q over the coefficient field.
+def pdivmod(p: Sequence[GaussianRational],
+            q: Sequence[GaussianRational]) -> Tuple[Poly, Poly]:
+    """Quotient and remainder of p by q over Q(i), both exact.
 
     A step subtracts c z^k q from the remainder: it updates the deg q
-    entries below the top one, which cancels and is popped.  Each product
-    is added to zero first, as in a product polynomial's sums, so a -0.0
-    part of an approximate product counts as +0.0.
+    entries below the top one, which cancels and is popped.
     """
     q = trim(q)
     if not q:
@@ -89,8 +81,7 @@ def pdivmod(p: Sequence[Coefficient],
     rem = trim(p)
     lead = q[-1]
     dq = len(q) - 1
-    zero = type(lead).zero()
-    approx = isinstance(lead, ApproxComplex)
+    zero = GaussianRational.zero()
     quot: Poly = []
     while len(rem) > dq:
         k = len(rem) - 1 - dq
@@ -101,29 +92,29 @@ def pdivmod(p: Sequence[Coefficient],
             quot = [zero] * k + [c]
         if not c.is_zero:
             for i in range(dq):
-                prod = q[i] * c
-                rem[k + i] = rem[k + i] - (zero + prod if approx else prod)
+                rem[k + i] = rem[k + i] - q[i] * c
         while rem and rem[-1].is_zero:
             rem.pop()
     return trim(quot), rem
 
 
-def pdiv_exact(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
+def pdiv_exact(p: Sequence[GaussianRational],
+               q: Sequence[GaussianRational]) -> Poly:
     quot, rem = pdivmod(p, q)
     if rem:
         raise ValueError("polynomial division left a remainder")
     return quot
 
 
-def monic(p: Sequence[Coefficient]) -> Poly:
+def monic(p: Sequence[GaussianRational]) -> Poly:
     p = trim(p)
     if not p:
         return []
     return pscale(p, p[-1].inverse())
 
 
-def pgcd(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
-    """Monic gcd.  Euclid for exact coefficients, root matching for doubles.
+def pgcd(p: Sequence[GaussianRational], q: Sequence[GaussianRational]) -> Poly:
+    """Monic gcd over Q(i), by Euclid's algorithm.
 
     >>> one, z = GaussianRational.one(), GaussianRational.zero()
     >>> [str(c) for c in pgcd([-one, z, one], [one * 2, -one * 3, one])]
@@ -134,35 +125,13 @@ def pgcd(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Poly:
         return monic(q)
     if not q:
         return monic(p)
-    if isinstance(p[0], ApproxComplex):
-        return _pgcd_numeric(p, q)
     while q:
         _, r = pdivmod(p, q)
         p, q = q, monic(r)
     return monic(p)
 
 
-def _pgcd_numeric(p: Poly, q: Poly) -> Poly:
-    rp = roots_numeric(p)
-    rq = list(roots_numeric(q))
-    thr = max(c.zero_threshold for c in p + q)
-    matched = []
-    for r in rp:
-        best, best_d = None, ROOT_MATCH_TOL
-        for j, s in enumerate(rq):
-            if s is not None and abs(r - s) < best_d:
-                best, best_d = j, abs(r - s)
-        if best is not None:
-            matched.append((r + rq[best]) / 2)
-            rq[best] = None
-    g = [ApproxComplex(1.0, 0.0, thr)]
-    for r in matched:
-        g = pmul(g, [ApproxComplex(-r.real, -r.imag, thr),
-                     ApproxComplex(1.0, 0.0, thr)])
-    return g
-
-
-def poly_str(p: Sequence[Coefficient], var: str = "z") -> str:
+def poly_str(p: Sequence[GaussianRational], var: str = "z") -> str:
     """Human-readable form, highest degree first.
 
     >>> one = GaussianRational.one()
@@ -177,7 +146,7 @@ def poly_str(p: Sequence[Coefficient], var: str = "z") -> str:
         c = p[i]
         if c.is_zero:
             continue
-        neg = isinstance(c, GaussianRational) and not c.im and c.re < 0
+        neg = not c.y and c.x < 0
         if neg:
             c = -c
         cs = str(c)
@@ -195,11 +164,12 @@ def poly_str(p: Sequence[Coefficient], var: str = "z") -> str:
     return " ".join(parts)
 
 
-def pderiv(p: Sequence[Coefficient]) -> Poly:
+def pderiv(p: Sequence[GaussianRational]) -> Poly:
     return trim([p[i] * i for i in range(1, len(p))])
 
 
-def peval(p: Sequence[Coefficient], x: Coefficient) -> Coefficient:
+def peval(p: Sequence[GaussianRational],
+          x: GaussianRational) -> GaussianRational:
     if not p:
         return x * 0
     acc = p[-1]
@@ -208,20 +178,20 @@ def peval(p: Sequence[Coefficient], x: Coefficient) -> Coefficient:
     return acc
 
 
-def presultant(p: Sequence[Coefficient], q: Sequence[Coefficient]) -> Coefficient:
+def presultant(p: Sequence[GaussianRational],
+               q: Sequence[GaussianRational]) -> GaussianRational:
     """Resultant via the Sylvester determinant, degrees taken after trimming."""
     p, q = trim(p), trim(q)
-    ftype = type((p or q)[0]) if (p or q) else GaussianRational
     if not p or not q:
-        return ftype.zero()
+        return GaussianRational.zero()
     m, n = len(p) - 1, len(q) - 1
     if m == 0 and n == 0:
-        return ftype.one()
+        return GaussianRational.one()
     if m == 0:
         return p[0] ** n
     if n == 0:
         return q[0] ** m
-    return field_det(sylvester(p, q, ftype.zero()))
+    return field_det(sylvester(p, q, GaussianRational.zero()))
 
 
 def sylvester(p: Sequence, q: Sequence, zero) -> List[List]:
@@ -233,12 +203,11 @@ def sylvester(p: Sequence, q: Sequence, zero) -> List[List]:
             + [[zero] * i + qd + [zero] * (m - 1 - i) for i in range(m)])
 
 
-def field_det(rows: List[List[Coefficient]]) -> Coefficient:
+def field_det(rows: List[List[GaussianRational]]) -> GaussianRational:
     """Determinant by Gaussian elimination with magnitude pivoting."""
     n = len(rows)
     rows = [list(r) for r in rows]
-    ftype = type(rows[0][0])
-    det = ftype.one()
+    det = GaussianRational.one()
     for col in range(n):
         piv, piv_mag = None, None
         for r in range(col, n):
@@ -246,7 +215,7 @@ def field_det(rows: List[List[Coefficient]]) -> Coefficient:
             if not rows[r][col].is_zero and (piv is None or mag > piv_mag):
                 piv, piv_mag = r, mag
         if piv is None:
-            return ftype.zero()
+            return GaussianRational.zero()
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             det = -det
@@ -261,7 +230,8 @@ def field_det(rows: List[List[Coefficient]]) -> Coefficient:
     return det
 
 
-def roots_numeric(p: Sequence[Union[Coefficient, complex]]) -> List[complex]:
+def roots_numeric(p: Sequence[Union[GaussianRational, complex]]
+                  ) -> List[complex]:
     """All complex roots, with multiplicity, by the companion matrix.
 
     Entries are field coefficients, whose own zero test trims the top, or
@@ -302,7 +272,7 @@ def _np_quot(a: complex, b: complex) -> complex:
                    (a.imag * rat - a.real) * scl)
 
 
-def roots_exact(p: Sequence[Coefficient]) -> Tuple[
+def roots_exact(p: Sequence[GaussianRational]) -> Tuple[
         List[Tuple[GaussianRational, int]], List[Tuple[Poly, int]]]:
     """The roots of an exact polynomial in Q(i), by p-adic lifting.
 

@@ -30,12 +30,6 @@ class PrecisionExhausted(RescalingError):
     """
 
 
-class MixedCoefficients(RescalingError):
-    """Exact and approximate coefficient realizations met in one operation."""
-
-    exit_code = 2
-
-
 class DegenerateFamily(RescalingError):
     """Numerator and denominator share a factor over the series field
     (the resultant vanishes identically), so the input does not define a
@@ -67,7 +61,8 @@ class RefuseToSample(RescalingError):
 
 
 class ToleranceAmbiguous(RescalingError):
-    """An approximate-mode zero test landed inside the ambiguity band."""
+    """A zero test contradicts the valuations an advance rests on, so the
+    order of its recentering cannot be certified."""
 
 
 class AssertionFailed(RescalingError):

@@ -2,14 +2,16 @@
 
 The expression language is small: integer literals, the imaginary unit i,
 the variables z and t, the operators + - * / ^, and parentheses.  Rationals
-are spelled as quotients (1/2).  Exponents on z are integers, possibly
-negative; t alone may carry a rational exponent, written t^(p/q).  Decimal
-literals are accepted and switch the whole family to approximate
-coefficients.
+are spelled as quotients (1/2) or as decimals, which are read as the exact
+rationals they spell: 0.1 is 1/10.  Exponents on z are integers, possibly
+negative; t alone may carry a rational exponent, written t^(p/q).  Every
+family is therefore Gaussian-rational.
 
 The parser evaluates as it reads, with no parse tree: each grammar rule
-returns the value of its text.  Float literals and a z where only t may
-appear are found by scanning the tokens.
+returns the value of its text, so every base is evaluated, even one raised
+to the power 0.  A first pass reads the grammar alone, so a malformed text
+is reported as such before any fault in its value.  A z where only t may
+appear is found by scanning the tokens.
 
 A substitution t -> expr(t) is applied once, at build time, to the parsed
 family.  Fractional t-exponents cannot be combined with a substitution,
@@ -21,12 +23,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import wraps
-from math import inf
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
 from .errors import DegenerateFamily, ParseError
-from .coefficients import ApproxComplex, GaussianRational
+from .coefficients import GaussianRational
 from . import cpoly
 from .maps import AffineFrame, MapL, resultant_vanishes, smul
 from .puiseux import PuiseuxSeries
@@ -49,7 +50,7 @@ def _tokenize(text: str) -> List[Token]:
         pos = m.end()
         dec, num, name, arrow, op = m.groups()
         if dec is not None:
-            out.append(("float", float(dec)))
+            out.append(("decimal", Fraction(dec)))
         elif num is not None:
             out.append(("int", int(num)))
         elif name is not None:
@@ -61,34 +62,20 @@ def _tokenize(text: str) -> List[Token]:
     return out
 
 
-def _has(tokens: List[Token], kind: str) -> bool:
-    return any(k == kind for k, _ in tokens)
-
-
 class _Parser:
     """Recursive descent in which every rule returns the :class:`_Rat`
-    value of the text it read; t stands for ``subst`` if one is given."""
+    value of the text it read; t stands for ``subst`` if one is given.
+    Unless ``evaluate``, every value is :data:`_UNEVALUATED`."""
 
-    def __init__(self, tokens: List[Token], ftype: type,
-                 subst: Optional[PuiseuxSeries] = None):
+    def __init__(self, tokens: List[Token],
+                 subst: Optional[PuiseuxSeries] = None,
+                 evaluate: bool = True):
         self.toks = tokens
         self.pos = 0
-        self.ftype = ftype
-        self.one = PuiseuxSeries.one(inf, ftype)
+        self.one = PuiseuxSeries.one()
         self.subst = subst
-        self.t = (PuiseuxSeries.t_power(1, 1, inf, ftype) if subst is None
-                  else subst)
-        # a base raised to the power 0 is read without dividing or raising
-        # to powers, so (1/0)^0 and (z^99999)^0 are 1
-        self.skip = 0
-        # index of each "(" -> index of its ")"
-        self.close: Dict[int, int] = {}
-        opened = []
-        for k, (kind, _) in enumerate(tokens):
-            if kind == "(":
-                opened.append(k)
-            elif kind == ")" and opened:
-                self.close[opened.pop()] = k
+        self.t = PuiseuxSeries.t_power(1) if subst is None else subst
+        self.evaluate = evaluate
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -102,8 +89,11 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def value(self, num: List[PuiseuxSeries]) -> _Rat:
+        return _Rat(num, [self.one]) if self.evaluate else _UNEVALUATED
+
     def const(self, series: PuiseuxSeries) -> _Rat:
-        return _Rat([series], [self.one])
+        return self.value([series])
 
     def parse(self) -> _Rat:
         val = self.expr()
@@ -124,7 +114,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()[0]
             rhs = self.factor()
-            val = val * (rhs if op == "*" or self.skip else rhs.flipped())
+            val = val * (rhs if op == "*" else rhs.flipped())
         return val
 
     def factor(self) -> _Rat:
@@ -135,10 +125,7 @@ class _Parser:
             self.take()
             return self.factor()
         start = self.pos
-        unused = self._raised_to_zero(self.close.get(start, start) + 1)
-        self.skip += unused
         val = self.atom()
-        self.skip -= unused
         if self.peek() != "^":
             return val
         base = [k for k, _ in self.toks[start:self.pos]
@@ -148,34 +135,12 @@ class _Parser:
         # t alone: inside parentheses and unary pluses at most
         if exp.denominator != 1 and base != ["t"]:
             raise ParseError("fractional exponents are allowed on t alone")
-        if self.skip:
-            return val
         if exp.denominator != 1:
             if self.subst is not None:
                 raise ParseError(
                     "fractional t-exponents cannot follow a substitution")
-            return self.const(PuiseuxSeries.t_power(exp, 1, inf,
-                                                    self.ftype))
-        n = int(exp)
-        if n == 0:
-            return self.const(self.one)
-        _check_degree((max(len(val.num), len(val.den)) - 1) * abs(n))
-        if n < 0:
-            val, n = val.flipped(), -n
-        out = val
-        for _ in range(n - 1):
-            out = out * val
-        return out
-
-    def _raised_to_zero(self, k: int) -> bool:
-        """Whether a "^" at token k starts the exponent 0."""
-        toks = self.toks
-        if k >= len(toks) or toks[k][0] != "^":
-            return False
-        for kind in ("(", "-"):
-            if k + 1 < len(toks) and toks[k + 1][0] == kind:
-                k += 1
-        return k + 1 < len(toks) and toks[k + 1] == ("int", 0)
+            return self.const(PuiseuxSeries.t_power(exp))
+        return val.power(int(exp))
 
     def atom(self) -> _Rat:
         kind, value = self.take()
@@ -183,20 +148,15 @@ class _Parser:
             val = self.expr()
             self.take(")")
             return val
-        if kind not in ("int", "float", "i", "z", "t"):
+        if kind not in ("int", "decimal", "i", "z", "t"):
             raise ParseError(f"unexpected token {kind!r}")
         if kind == "z":
-            return _Rat([PuiseuxSeries.zero(inf, self.ftype), self.one],
-                        [self.one])
+            return self.value([PuiseuxSeries.zero(), self.one])
         if kind == "t":
             return self.const(self.t)
         if kind == "i":
-            if self.ftype is GaussianRational:
-                value = GaussianRational(0, 1)
-            else:
-                value = ApproxComplex(0.0, 1.0)
-        return self.const(PuiseuxSeries.constant(
-            self.ftype.coerce(value), inf, self.ftype))
+            value = GaussianRational(0, 1)
+        return self.const(PuiseuxSeries.constant(value))
 
     def exponent(self) -> Fraction:
         paren = self.peek() == "("
@@ -243,6 +203,38 @@ class _Rat:
             raise ParseError("division by an identically zero expression")
         return _Rat(self.den, self.num)
 
+    def power(self, n: int) -> "_Rat":
+        if n == 0:
+            return _Rat([PuiseuxSeries.one()], [PuiseuxSeries.one()])
+        _check_degree((max(len(self.num), len(self.den)) - 1) * abs(n))
+        base = self.flipped() if n < 0 else self
+        out = base
+        for _ in range(abs(n) - 1):
+            out = out * base
+        return out
+
+
+class _Unevaluated:
+    """The value of every text in the grammar pass: arithmetic on it is a
+    no-op, so that pass cannot fail on a value."""
+
+    def __add__(self, other):
+        return self
+
+    __mul__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def flipped(self):
+        return self
+
+    def power(self, n: int):
+        return self
+
+
+_UNEVALUATED = _Unevaluated()
+
 
 def _check_degree(degree: int) -> None:
     """Refuse a z-degree past the iterate cap before anything that large
@@ -253,12 +245,18 @@ def _check_degree(degree: int) -> None:
             details={"degree": degree, "cap": ITERATE_DEGREE_CAP})
 
 
-def _t_series(tokens: List[Token], ftype: type, trunc,
-              what: str) -> PuiseuxSeries:
+def _read(tokens: List[Token],
+          subst: Optional[PuiseuxSeries] = None) -> _Rat:
+    """The value the tokens spell, once their grammar has been read."""
+    _Parser(tokens, evaluate=False).parse()
+    return _Parser(tokens, subst).parse()
+
+
+def _t_series(tokens: List[Token], trunc, what: str) -> PuiseuxSeries:
     """The series in t that a substitution or a frame center spells."""
-    if _has(tokens, "z"):
+    if any(kind == "z" for kind, _ in tokens):
         raise ParseError(f"{what} may only involve t")
-    rat = _Parser(tokens, ftype).parse()
+    rat = _read(tokens)
     num, den = rat.num[0], rat.den[0]
     prec = None if den.is_exact and len(den.terms) <= 1 else trunc
     return num * den.inverse(prec=prec)
@@ -290,15 +288,12 @@ def parse_family(text: str, subst: Optional[str] = None,
     5
     """
     tokens = _tokenize(text)
-    subst_tokens = _tokenize(subst) if subst is not None else []
-    approx = _has(tokens, "float") or _has(subst_tokens, "float")
-    ftype = ApproxComplex if approx else GaussianRational
     tserie = None
     if subst is not None:
-        tserie = _t_series(subst_tokens, ftype, trunc, "substitution")
+        tserie = _t_series(_tokenize(subst), trunc, "substitution")
         if not tserie.terms:
             raise ParseError("substitution must be a nonzero series in t")
-    rat = _Parser(tokens, ftype, tserie).parse()
+    rat = _read(tokens, tserie)
     num, den = rat.num, rat.den
     # common-denominator addition of z^-k terms leaves a shared z^k factor;
     # strip it so the stated degree is the true one
@@ -314,13 +309,8 @@ def parse_family(text: str, subst: Optional[str] = None,
 
 
 @_depth_checked
-def parse_frame(text: str, trunc=DEFAULT_TRUNC,
-                ftype: type = GaussianRational) -> AffineFrame:
+def parse_frame(text: str, trunc=DEFAULT_TRUNC) -> AffineFrame:
     """Parse a frame "h" or "h, center": h a rational, center a series in t.
-
-    The center is built over ``ftype``, the field of the family the frame
-    is meant for; a float literal in the center switches it to approximate
-    coefficients regardless.
 
     >>> parse_frame("2/5").h
     Fraction(2, 5)
@@ -332,8 +322,5 @@ def parse_frame(text: str, trunc=DEFAULT_TRUNC,
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad zoom exponent {head!r}: {exc}") from None
     if not rest.strip():
-        return AffineFrame(h, PuiseuxSeries.zero(inf, ftype))
-    tokens = _tokenize(rest)
-    if _has(tokens, "float"):
-        ftype = ApproxComplex
-    return AffineFrame(h, _t_series(tokens, ftype, trunc, "frame center"))
+        return AffineFrame(h, PuiseuxSeries.zero())
+    return AffineFrame(h, _t_series(_tokenize(rest), trunc, "frame center"))

@@ -22,7 +22,6 @@ from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, DEFAULT_TRUNC,
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      PrecisionExhausted, RamificationCapExceeded,
                      ToleranceAmbiguous)
-from .coefficients import GaussianRational
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
                    compose_families, compose_reduced, conjugate,
                    gauss_normalize, iterate_family, precompose_affine,
@@ -47,19 +46,11 @@ class FrameClass:
         return AffineFrame(self.h, self.c)
 
     def key(self):
-        """Hashable identity; exact coefficients only."""
+        """Hashable identity."""
         return (self.h, self.c.terms)
 
-    def bits_key(self):
-        """Hashable identity of an approximate class: the exact float bits
-        of every term, so classes with equal keys advance alike to the
-        bit."""
-        return (self.h, tuple((e, c.re.hex(), c.im.hex(),
-                               c.zero_threshold.hex())
-                              for e, c in self.c.terms))
-
     def height(self) -> int:
-        """Largest bit length of x, y or d over the exact center's
+        """Largest bit length of x, y or d over the center's
         coefficients (x + y*i)/d; 0 for the zero center."""
         return max((max(g.x.bit_length(), g.y.bit_length(),
                         g.d.bit_length()) for _, g in self.c.terms),
@@ -100,7 +91,7 @@ def canonicalize(frame: Union[AffineFrame, FrameClass]) -> FrameClass:
         raise PrecisionExhausted(
             f"center known mod t^{frame.c.trunc}, class needs it mod t^{h}")
     cut = tuple((e, c) for e, c in frame.c.terms if e < h)
-    return FrameClass(h, PuiseuxSeries(cut, inf, frame.c.ftype))
+    return FrameClass(h, PuiseuxSeries(cut, inf))
 
 
 def equivalent_via_reduction(a: Union[AffineFrame, FrameClass],
@@ -112,10 +103,8 @@ def equivalent_via_reduction(a: Union[AffineFrame, FrameClass],
     """
     fa = a.frame() if isinstance(a, FrameClass) else a
     fb = b.frame() if isinstance(b, FrameClass) else b
-    ftype = fa.c.ftype
-    num = [(fa.c - fb.c).shift(-fb.h),
-           PuiseuxSeries.t_power(fa.h - fb.h, 1, inf, ftype)]
-    den = [PuiseuxSeries.one(inf, ftype)]
+    num = [(fa.c - fb.c).shift(-fb.h), PuiseuxSeries.t_power(fa.h - fb.h)]
+    den = [PuiseuxSeries.one()]
     try:
         red = reduce_family(MapL(num, den))
     except (PrecisionExhausted, DegenerateFamily):
@@ -146,9 +135,8 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
     """
     src = canonicalize(frame)
     work = precompose_affine(fam, src.frame())
-    ftype = fam.ftype
     u = Fraction(0)
-    v = PuiseuxSeries.zero(inf, ftype)
+    v = PuiseuxSeries.zero()
     corrections = 0
     budget = None
     spent = Fraction(0)
@@ -166,8 +154,8 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
                     "family is exactly an affine constant in this frame")
             if delta <= 0:
                 raise ToleranceAmbiguous(
-                    "constant residue cancelled only below the zero "
-                    "threshold; cannot certify the recentering order")
+                    "subtracting the constant residue did not raise the "
+                    "valuation; cannot certify the recentering order")
             work = MapL([c.shift(-delta) for c in gnum], work.den)
             u -= delta
             v = (v - c1).shift(-delta)
@@ -181,8 +169,9 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             a = vd - vn
             if a == 0:
                 raise ToleranceAmbiguous(
-                    "residue block vanished only below the zero threshold; "
-                    "cannot certify the rebalancing order")
+                    "a residue block vanished although both blocks share "
+                    "their least valuation; cannot certify the rebalancing "
+                    "order")
             work = work.scaled_function(a)
             u += a
             v = v.shift(a)
@@ -343,16 +332,14 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
     innermost first; its degree must equal the product of the step degrees.
     The seed and every target are tested against :func:`escape_bound`; the
     first frame below it raises :class:`AdvanceNotTerminating` with the
-    certificate in ``details``.  So does an exact orbit whose next center
-    is higher than ``CENTER_HEIGHT_CAP`` bits; ``details`` then holds the
+    certificate in ``details``.  So does an orbit whose next center is
+    higher than ``CENTER_HEIGHT_CAP`` bits; ``details`` then holds the
     step, that height, and the last frame under the cap.  Orbits neither
     covers end at the ``max_steps`` cap.
 
-    ``memo`` maps source classes (:meth:`FrameClass.key` when exact,
-    :meth:`FrameClass.bits_key` otherwise) to their advance, so calls that
-    share it advance from each class once.
+    ``memo`` maps source classes (:meth:`FrameClass.key`) to their advance,
+    so calls that share it advance from each class once.
     """
-    exact = fam.ftype is GaussianRational
     bound = escape_bound(fam)
     fc = canonicalize(seed)
     if bound is not None and frame_size(fc) < bound:
@@ -363,10 +350,10 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
     steps: List[StepResult] = []
     while len(steps) < max_steps:
         src = orbit[-1]
-        step_key = src.key() if exact else src.bits_key()
-        st = memo.get(step_key)
+        key = src.key()
+        st = memo.get(key)
         if st is None:
-            st = memo[step_key] = advance(fam, src)
+            st = memo[key] = advance(fam, src)
         steps.append(st)
         tgt = st.target
         j = next((k for k, fr in enumerate(orbit) if fr == tgt), None)
@@ -387,7 +374,7 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
                                   tuple(steps[:j]), limit)
         if bound is not None and frame_size(tgt) < bound:
             raise _escape(fam, tgt, len(steps), bound)
-        height = tgt.height() if exact else 0
+        height = tgt.height()
         if height > CENTER_HEIGHT_CAP:
             raise AdvanceNotTerminating(
                 f"advance {len(steps)} reached a frame center of height "
@@ -483,7 +470,7 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
     center-height guard of :func:`find_cycle`, is recorded per seed with
     the error message.
     """
-    zero = PuiseuxSeries.zero(inf, fam.ftype)
+    zero = PuiseuxSeries.zero()
     seeds = sorted({Fraction(p, q)
                     for q in range(2, max_denominator + 1)
                     for p in range(1, q)})

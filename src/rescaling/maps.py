@@ -18,9 +18,8 @@ from typing import Dict, List, Sequence, Tuple
 from . import cpoly
 from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
 from .errors import (AssertionFailed, DegenerateFamily, DegreeCapExceeded,
-                     MixedCoefficients, PrecisionExhausted,
-                     ToleranceAmbiguous)
-from .coefficients import ApproxComplex, Coefficient, GaussianRational
+                     PrecisionExhausted)
+from .coefficients import GaussianRational
 from .puiseux import PuiseuxSeries
 
 # -- polynomials in z with series coefficients (ascending, fixed length) ----
@@ -28,34 +27,20 @@ from .puiseux import PuiseuxSeries
 
 def smul(p: Sequence[PuiseuxSeries],
          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Product of two series polynomials.
-
-    Gaussian-rational polynomials multiply on Python ints
-    (:func:`_smul_exact`); approximate ones take :func:`_smul_loop`.
-    """
+    """Product of two series polynomials, multiplied on Python ints by
+    :func:`_smul_exact`."""
     if not p or not q:
         return []
-    if all(c.ftype is GaussianRational for c in chain(p, q)):
-        return _smul_exact(p, q)
-    return _smul_loop(p, q)
-
-
-def _smul_loop(p: Sequence[PuiseuxSeries],
-               q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Product of two series polynomials, one series product per pair."""
-    out: List[PuiseuxSeries] = [None] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            prod = a * b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return out
+    return _smul_exact(p, q)
 
 
 def _smul_exact(p: Sequence[PuiseuxSeries],
                 q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Product of two Gaussian-rational series polynomials on Python ints.
+    """Product of two series polynomials on Python ints.
 
-    The result equals :func:`_smul_loop`'s, in terms and in ``trunc``.
+    The result equals, in terms and in ``trunc``, that of the loop which
+    forms one series product a_i * b_j per pair and sums the products of
+    each output degree with series ``+``.
 
     Truncation.  The loop forms each pair product a_i b_j, known mod t^T_ij
     with T_ij = min(trunc a_i + v_low b_j, trunc b_j + v_low a_i), and sums
@@ -131,7 +116,7 @@ def _smul_exact(p: Sequence[PuiseuxSeries],
                     ex = exps[e] = Fraction(e, r)
                 terms.append((ex, GaussianRational.from_ints(re, im, den)))
         trunc = inf if limits[k] == inf else Fraction(limits[k], r)
-        out.append(PuiseuxSeries(tuple(terms), trunc, GaussianRational))
+        out.append(PuiseuxSeries(tuple(terms), trunc))
     return out
 
 
@@ -172,21 +157,17 @@ class MapL:
     top, so the formal degree is honest.
     """
 
-    __slots__ = ("num", "den", "ftype")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence[PuiseuxSeries],
                  den: Sequence[PuiseuxSeries]):
         num, den = list(num), list(den)
-        ftypes = {c.ftype for c in num + den}
-        if len(ftypes) > 1:
-            raise MixedCoefficients("family mixes coefficient types")
-        if not ftypes:
+        if not num and not den:
             raise DegenerateFamily("empty family")
-        self.ftype = ftypes.pop()
         # a coefficient that is zero only as far as known is kept: the formal
         # degree must not silently drop below an undecided top term
         d = max(len(cpoly.trim(num)) - 1, len(cpoly.trim(den)) - 1, 0)
-        zero = PuiseuxSeries.zero(inf, self.ftype)
+        zero = PuiseuxSeries.zero()
         self.num = tuple((num + [zero] * (d + 1))[:d + 1])
         self.den = tuple((den + [zero] * (d + 1))[:d + 1])
 
@@ -267,8 +248,9 @@ class ReducedMap:
 
     __slots__ = ("num", "den", "holes", "inf_mult", "source_degree")
 
-    def __init__(self, num: Sequence[Coefficient], den: Sequence[Coefficient],
-                 holes: Sequence[Coefficient] = (), inf_mult: int = 0,
+    def __init__(self, num: Sequence[GaussianRational],
+                 den: Sequence[GaussianRational],
+                 holes: Sequence[GaussianRational] = (), inf_mult: int = 0,
                  source_degree: int = None):
         num, den = cpoly.trim(num), cpoly.trim(den)
         if den:
@@ -330,7 +312,7 @@ def reduce_family(fam: MapL) -> ReducedMap:
     p_res, q_res = residues(fn)
     if not q_res:
         holes = cpoly.monic(p_res)
-        out = ReducedMap([type(p_res[0]).one()], [], holes,
+        out = ReducedMap([GaussianRational.one()], [], holes,
                          d - cpoly.degree(p_res), d)
     else:
         h = cpoly.pgcd(p_res, q_res)
@@ -349,18 +331,7 @@ def reduce_family(fam: MapL) -> ReducedMap:
 
 
 def _divide_out(p: cpoly.Poly, h: cpoly.Poly) -> cpoly.Poly:
-    if cpoly.degree(h) <= 0:
-        return p
-    if not p:
-        return []
-    if isinstance(p[0], ApproxComplex):
-        quot, rem = cpoly.pdivmod(p, h)
-        scale = max(abs(c.to_complex()) for c in p)
-        if rem and max(abs(c.to_complex()) for c in rem) > 1e-4 * scale:
-            raise ToleranceAmbiguous(
-                "numeric gcd does not divide the residue cleanly")
-        return quot
-    return cpoly.pdiv_exact(p, h)
+    return p if cpoly.degree(h) <= 0 else cpoly.pdiv_exact(p, h)
 
 
 # -- affine changes of variable ---------------------------------------------
@@ -368,10 +339,9 @@ def _divide_out(p: cpoly.Poly, h: cpoly.Poly) -> cpoly.Poly:
 
 def precompose_affine(fam: MapL, frame: AffineFrame) -> MapL:
     """The family f(c(t) + t^h w), as a family in w."""
-    ftype = fam.ftype
-    slope = PuiseuxSeries.t_power(frame.h, 1, inf, ftype)
+    slope = PuiseuxSeries.t_power(frame.h)
     lin = [frame.c, slope]  # c + t^h w
-    powers: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one(inf, ftype)]]
+    powers: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one()]]
     for _ in range(fam.degree):
         powers.append(smul(powers[-1], lin))
     num: List[PuiseuxSeries] = []
@@ -392,8 +362,7 @@ def postcompose_affine(slope: PuiseuxSeries, intercept: PuiseuxSeries,
 def conjugate(fam: MapL, frame: AffineFrame) -> MapL:
     """M^-1 o f o M for the affine frame M."""
     inner = precompose_affine(fam, frame)
-    ftype = fam.ftype
-    s = PuiseuxSeries.t_power(-frame.h, 1, inf, ftype)
+    s = PuiseuxSeries.t_power(-frame.h)
     b = -frame.c * s
     return postcompose_affine(s, b, inner)
 
@@ -405,8 +374,8 @@ def compose_families(outer: MapL, inner: MapL,
     if d > ITERATE_DEGREE_CAP:
         raise DegreeCapExceeded(
             f"composition degree {d} exceeds cap {ITERATE_DEGREE_CAP}")
-    p_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one(inf, outer.ftype)]]
-    q_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one(inf, outer.ftype)]]
+    p_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one()]]
+    q_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one()]]
     for _ in range(outer.degree):
         p_pow.append(smul(p_pow[-1], list(inner.num)))
         q_pow.append(smul(q_pow[-1], list(inner.den)))
@@ -436,9 +405,8 @@ def iterate_family(fam: MapL, n: int, window=DEFAULT_TRUNC) -> MapL:
 def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
     """Composition of reduced maps, cancelled back to lowest terms."""
     p, q = list(inner.num), list(inner.den)
-    ftype = type((p + q)[0])
     m = max(cpoly.degree(outer.num), cpoly.degree(outer.den), 0)
-    p_pow, q_pow = [[ftype.one()]], [[ftype.one()]]
+    p_pow, q_pow = [[GaussianRational.one()]], [[GaussianRational.one()]]
     for _ in range(m):
         p_pow.append(cpoly.pmul(p_pow[-1], p))
         q_pow.append(cpoly.pmul(q_pow[-1], q))
@@ -462,17 +430,16 @@ def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
 def resultant_series(fam: MapL) -> PuiseuxSeries:
     """Res_z(P, Q) as a series, by a division-free determinant."""
     p, q = cpoly.trim(fam.num), cpoly.trim(fam.den)
-    ftype = fam.ftype
     if not p or not q:
-        return PuiseuxSeries.zero(inf, ftype)
+        return PuiseuxSeries.zero()
     m, n = len(p) - 1, len(q) - 1
     if m == 0 and n == 0:
-        return PuiseuxSeries.one(inf, ftype)
+        return PuiseuxSeries.one()
     if m == 0:
         return p[0] ** n
     if n == 0:
         return q[0] ** m
-    return _series_det(cpoly.sylvester(p, q, PuiseuxSeries.zero(inf, ftype)))
+    return _series_det(cpoly.sylvester(p, q, PuiseuxSeries.zero()))
 
 
 # A nonzero resultant is certified by a Sylvester determinant mod the prime
@@ -486,38 +453,32 @@ def resultant_vanishes(fam: MapL) -> bool:
     """Whether ``resultant_series(fam)`` is identically zero.
 
     That series costs time exponential in the degree, so it is computed
-    only for inexact families, and only when no certificate of a nonzero
+    only for truncated families, and only when no certificate of a nonzero
     resultant is found.  A ring map
     sends the Sylvester determinant, a polynomial in the entries, to the
     determinant of the mapped matrix at the same formal degrees, so a
-    nonzero image proves the resultant nonzero.  An exact Gaussian-rational
-    family, a Laurent polynomial in s = t^(1/r), is sent to s = J mod P.
-    Any other family is scaled, P and Q each by a power of t, to least
-    valuation 0, which scales the resultant by a power of t, and is sent to
-    its residues (mod P when Gaussian-rational).
+    nonzero image proves the resultant nonzero.  An exact family, a Laurent
+    polynomial in s = t^(1/r), is sent to s = J mod P.  A truncated family
+    is scaled, P and Q each by a power of t, to least valuation 0, which
+    scales the resultant by a power of t, and is sent to its residues mod P.
     """
     p, q = cpoly.trim(fam.num), cpoly.trim(fam.den)
     if len(p) > 1 and len(q) > 1:
         try:
-            if fam.ftype is ApproxComplex:
-                rows = cpoly.sylvester(*map(_scaled_residues, (p, q)),
-                                       ApproxComplex.zero())
-                certified = not cpoly.field_det(rows).is_zero
-            else:
-                certified = not _singular_mod_p(
-                    cpoly.sylvester(*_specialized_mod_p(p, q), 0))
+            certified = not _singular_mod_p(
+                cpoly.sylvester(*_specialized_mod_p(p, q), 0))
         except (PrecisionExhausted, ValueError):
             certified = False  # a residue hidden, or P divides a denominator
         if certified:
             return False
-        if all(c.is_exact and c.ftype is GaussianRational for c in p + q):
+        if all(c.is_exact for c in p + q):
             return _exact_resultant_vanishes(p, q)
     return resultant_series(fam).is_zero
 
 
 def _exact_resultant_vanishes(p: List[PuiseuxSeries],
                               q: List[PuiseuxSeries]) -> bool:
-    """Res(P, Q) = 0 for exact Gaussian-rational P, Q of degrees m, n >= 1.
+    """Res(P, Q) = 0 for exact P, Q of degrees m, n >= 1.
 
     Each product of one Sylvester entry per row is a Laurent polynomial in
     s = t^(1/r), so the resultant is a power of s times a polynomial of
@@ -579,8 +540,7 @@ def _series_det(rows: List[List[PuiseuxSeries]]) -> PuiseuxSeries:
     # Laplace expansion by columns, memoized on the set of used rows; no
     # divisions, so no truncation is lost to series inversion.
     n = len(rows)
-    ftype = rows[0][0].ftype
-    dp = {0: PuiseuxSeries.one(inf, ftype)}
+    dp = {0: PuiseuxSeries.one()}
     for col in range(n):
         nxt = {}
         for mask, minor in dp.items():
@@ -599,7 +559,7 @@ def _series_det(rows: List[List[PuiseuxSeries]]) -> PuiseuxSeries:
                 nxt[key] = term if key not in nxt else nxt[key] + term
         dp = nxt
         if not dp:
-            return PuiseuxSeries.zero(inf, ftype)
+            return PuiseuxSeries.zero()
     return dp[(1 << n) - 1]
 
 

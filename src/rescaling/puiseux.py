@@ -27,30 +27,29 @@ from math import inf
 from typing import Iterable, Tuple, Union
 
 from .config import DEFAULT_TRUNC
-from .errors import MixedCoefficients, PrecisionExhausted
-from .coefficients import ApproxComplex, Coefficient, GaussianRational
+from .errors import PrecisionExhausted
+from .coefficients import GaussianRational
 
 Exponent = Union[Fraction, float]  # float only for the inf sentinel
-Term = Tuple[Fraction, Coefficient]
+Term = Tuple[Fraction, GaussianRational]
 
-_SCALARS = (int, Fraction, float, complex, GaussianRational, ApproxComplex)
+_SCALARS = (int, Fraction, GaussianRational)
 
 
 class PuiseuxSeries:
     """A truncated series sum_j c_j t^(e_j) + O(t^trunc)."""
 
-    __slots__ = ("terms", "trunc", "ftype")
+    __slots__ = ("terms", "trunc")
 
-    def __init__(self, terms: Tuple[Term, ...], trunc: Exponent, ftype: type):
+    def __init__(self, terms: Tuple[Term, ...], trunc: Exponent):
         self.terms = terms
         self.trunc = trunc
-        self.ftype = ftype
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def build(cls, terms: Iterable[Tuple[object, object]], trunc: Exponent,
-              ftype: type = GaussianRational) -> PuiseuxSeries:
+    def build(cls, terms: Iterable[Tuple[object, object]],
+              trunc: Exponent) -> PuiseuxSeries:
         """Normalize raw (exponent, coefficient) pairs into a series.
 
         Exponents are coerced to Fraction, equal exponents are combined,
@@ -61,34 +60,30 @@ class PuiseuxSeries:
         bucket = {}
         for e, c in terms:
             e = Fraction(e)
-            c = ftype.coerce(c)
+            c = GaussianRational.coerce(c)
             if e in bucket:
                 bucket[e] = bucket[e] + c
             else:
                 bucket[e] = c
         kept = tuple(sorted(
             (e, c) for e, c in bucket.items() if e < trunc and not c.is_zero))
-        return cls(kept, trunc, ftype)
+        return cls(kept, trunc)
 
     @classmethod
-    def zero(cls, trunc: Exponent = inf,
-             ftype: type = GaussianRational) -> PuiseuxSeries:
-        return cls.build((), trunc, ftype)
+    def zero(cls, trunc: Exponent = inf) -> PuiseuxSeries:
+        return cls.build((), trunc)
 
     @classmethod
-    def one(cls, trunc: Exponent = inf,
-            ftype: type = GaussianRational) -> PuiseuxSeries:
-        return cls.build([(0, 1)], trunc, ftype)
+    def one(cls, trunc: Exponent = inf) -> PuiseuxSeries:
+        return cls.build([(0, 1)], trunc)
 
     @classmethod
-    def constant(cls, c, trunc: Exponent = inf,
-                 ftype: type = GaussianRational) -> PuiseuxSeries:
-        return cls.build([(0, c)], trunc, ftype)
+    def constant(cls, c, trunc: Exponent = inf) -> PuiseuxSeries:
+        return cls.build([(0, c)], trunc)
 
     @classmethod
-    def t_power(cls, e, coeff=1, trunc: Exponent = inf,
-                ftype: type = GaussianRational) -> PuiseuxSeries:
-        return cls.build([(e, coeff)], trunc, ftype)
+    def t_power(cls, e, coeff=1, trunc: Exponent = inf) -> PuiseuxSeries:
+        return cls.build([(e, coeff)], trunc)
 
     # -- inspection ----------------------------------------------------
 
@@ -118,7 +113,7 @@ class PuiseuxSeries:
         """Certified lower bound for the valuation (trunc when no term is known)."""
         return self.terms[0][0] if self.terms else self.trunc
 
-    def coefficient(self, e) -> Coefficient:
+    def coefficient(self, e) -> GaussianRational:
         e = Fraction(e)
         if e >= self.trunc:
             raise PrecisionExhausted(
@@ -126,9 +121,9 @@ class PuiseuxSeries:
         for ei, c in self.terms:
             if ei == e:
                 return c
-        return self.ftype.zero()
+        return GaussianRational.zero()
 
-    def residue(self) -> Coefficient:
+    def residue(self) -> GaussianRational:
         """Value at t = 0, defined when no negative exponent is present."""
         if self.terms and self.terms[0][0] < 0:
             raise ValueError("residue of a series with a pole at t = 0")
@@ -151,7 +146,7 @@ class PuiseuxSeries:
         if new_trunc != inf:
             new_trunc = Fraction(new_trunc)
         kept = tuple((e, c) for e, c in self.terms if e < new_trunc)
-        return PuiseuxSeries(kept, new_trunc, self.ftype)
+        return PuiseuxSeries(kept, new_trunc)
 
     def shift(self, delta) -> PuiseuxSeries:
         """Multiply by t^delta."""
@@ -160,26 +155,22 @@ class PuiseuxSeries:
             return self
         terms = tuple((e + delta, c) for e, c in self.terms)
         trunc = inf if self.trunc == inf else self.trunc + delta
-        return PuiseuxSeries(terms, trunc, self.ftype)
+        return PuiseuxSeries(terms, trunc)
 
     def scale(self, c) -> PuiseuxSeries:
-        c = self.ftype.coerce(c)
+        c = GaussianRational.coerce(c)
         if c.is_zero:
-            return PuiseuxSeries((), self.trunc, self.ftype)
+            return PuiseuxSeries((), self.trunc)
         return PuiseuxSeries(
-            tuple((e, ci * c) for e, ci in self.terms), self.trunc, self.ftype)
+            tuple((e, ci * c) for e, ci in self.terms), self.trunc)
 
     # -- arithmetic ----------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, PuiseuxSeries):
-            if other.ftype is not self.ftype:
-                raise MixedCoefficients(
-                    "series with exact and approximate coefficients mixed")
             return other
         if isinstance(other, _SCALARS):
-            return PuiseuxSeries.constant(
-                self.ftype.coerce(other), inf, self.ftype)
+            return PuiseuxSeries.constant(other)
         return None
 
     def __add__(self, other):
@@ -188,7 +179,7 @@ class PuiseuxSeries:
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
         return PuiseuxSeries.build(
-            list(self.terms) + list(other.terms), trunc, self.ftype)
+            list(self.terms) + list(other.terms), trunc)
 
     __radd__ = __add__
 
@@ -206,7 +197,7 @@ class PuiseuxSeries:
 
     def __neg__(self):
         return PuiseuxSeries(
-            tuple((e, -c) for e, c in self.terms), self.trunc, self.ftype)
+            tuple((e, -c) for e, c in self.terms), self.trunc)
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -219,7 +210,7 @@ class PuiseuxSeries:
         prods = [(ea + eb, ca * cb)
                  for ea, ca in self.terms for eb, cb in other.terms
                  if ea + eb < trunc]
-        return PuiseuxSeries.build(prods, trunc, self.ftype)
+        return PuiseuxSeries.build(prods, trunc)
 
     __rmul__ = __mul__
 
@@ -234,7 +225,7 @@ class PuiseuxSeries:
         tail = self.terms[1:]
         if not tail:
             if self.trunc == inf:
-                out = PuiseuxSeries.t_power(-e, c.inverse(), inf, self.ftype)
+                out = PuiseuxSeries.t_power(-e, c.inverse())
                 return out if prec is None else out.cap(prec)
             trunc = self.trunc - 2 * e
         elif self.trunc == inf:
@@ -247,9 +238,9 @@ class PuiseuxSeries:
         # series for 1/(1+u) to relative order trunc + e.
         rel = trunc + e
         u = PuiseuxSeries.build(
-            [(ei - e, ci * c.inverse()) for ei, ci in tail], rel, self.ftype)
-        acc = PuiseuxSeries.one(rel, self.ftype)
-        term = PuiseuxSeries.one(rel, self.ftype)
+            [(ei - e, ci * c.inverse()) for ei, ci in tail], rel)
+        acc = PuiseuxSeries.one(rel)
+        term = PuiseuxSeries.one(rel)
         vu = u.val_lower()
         order = Fraction(0)
         while order < rel and not term.is_zero and term.terms:
@@ -277,7 +268,7 @@ class PuiseuxSeries:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = PuiseuxSeries.one(inf, self.ftype)
+        out = PuiseuxSeries.one()
         base = self
         while n:
             if n & 1:
@@ -289,16 +280,10 @@ class PuiseuxSeries:
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other):
-        other = self._lift(other) if not isinstance(other, PuiseuxSeries) \
-            else other
-        if other is None or not isinstance(other, PuiseuxSeries):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        if self.ftype is not other.ftype or self.trunc != other.trunc:
-            return False
-        if len(self.terms) != len(other.terms):
-            return False
-        return all(ea == eb and ca == cb
-                   for (ea, ca), (eb, cb) in zip(self.terms, other.terms))
+        return self.trunc == other.trunc and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.terms, self.trunc))
@@ -333,7 +318,7 @@ def _coeff_str(c) -> str:
 
 def _term_str(e, c, first: bool) -> str:
     neg = False
-    if isinstance(c, GaussianRational) and not c.im and c.re < 0:
+    if not c.y and c.x < 0:
         neg, c = True, -c
     sign = ("-" if neg else "") if first else ("- " if neg else "+ ")
     if e == 0:

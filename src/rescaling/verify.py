@@ -86,7 +86,7 @@ def _coeff_complex(c) -> complex:
 
 
 def _coeff_mpc(c):
-    """A coefficient of either field as an mpc at the working precision.
+    """A Gaussian rational as an mpc at the working precision.
 
     mpf takes no Fraction, so each part enters as numerator / denominator.
     """

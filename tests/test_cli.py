@@ -139,7 +139,7 @@ def test_s_grid_order_does_not_matter(capsys):
 # the exit code each package error ends in; a class added to errors must be
 # added here
 EXIT_CODES = {
-    "PrecisionExhausted": 3, "MixedCoefficients": 2, "DegenerateFamily": 3,
+    "PrecisionExhausted": 3, "DegenerateFamily": 3,
     "AdvanceNotTerminating": 3, "RamificationCapExceeded": 3,
     "DegreeCapExceeded": 3, "GridDegenerate": 3, "RefuseToSample": 3,
     "ToleranceAmbiguous": 3, "AssertionFailed": 2, "ParseError": 2,
@@ -244,6 +244,19 @@ def test_degree_past_cap_is_a_parse_error(capsys, family, degree):
     assert doc["error"]["type"] == "ParseError"
     assert doc["error"]["details"] == {"degree": str(degree),
                                        "cap": str(ITERATE_DEGREE_CAP)}
+
+
+@pytest.mark.parametrize("family, subst", [
+    ("z^2 + (1/(t-t))^0", None),
+    ("z^2 + (z^99999)^0", None),
+    ("z^2 + ((z+1)^70/(1-1))^(0/3)", None),
+    ("z^2 + (t^(1/2))^0", "-1+t"),
+])
+def test_base_raised_to_zero_is_a_parse_error(capsys, family, subst):
+    argv = ("reduce", family) + ((f"--subst={subst}",) if subst else ())
+    code, doc = run(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "ParseError"
 
 
 @pytest.mark.parametrize("family", [
@@ -501,12 +514,84 @@ def test_cli_takes_truncation_from_env(capsys, monkeypatch, argv):
     assert all(fr["center"].endswith("O(t^8)") for fr in flag[1]["frames"])
 
 
-@pytest.mark.xfail(strict=True, reason="the float spelling of quad0 misses "
-                   "its composed limit by about 1.5e-8, past the 1e-12 "
-                   "zero threshold")
 def test_float_quad0_passes_its_crosscheck(capsys):
     code, doc = run(capsys, "orbit", "t - (1.0+t^2)/z + t/z^2", "--frame",
                     "1", "--crosscheck")
     assert code == 0
     names = {a["name"]: a["passed"] for a in doc["assertions"]}
     assert names["cycle_limit_crosscheck"] is True
+
+
+def _without_source(doc):
+    fam = doc.get("family")
+    if fam is None:
+        return doc
+    return {**doc, "family": {k: v for k, v in fam.items() if k != "source"}}
+
+
+def run_exact_and_float(capsys, exact_argv, float_argv):
+    """Both outcomes, each payload with its family source dropped."""
+    code_e, doc_e = run(capsys, *exact_argv)
+    code_f, doc_f = run(capsys, *float_argv)
+    return (code_e, _without_source(doc_e)), (code_f, _without_source(doc_f))
+
+
+def test_tiny_decimal_coefficient_is_not_dropped(capsys):
+    # 1e-13 sits below any double-precision zero threshold
+    exact, spelled = run_exact_and_float(
+        capsys, ("orbit", "z^2 + 1/10000000000000*z + t", "--frame", "1"),
+        ("orbit", "z^2 + 0.0000000000001*z + t", "--frame", "1"))
+    assert spelled == exact
+    assert spelled[0] == 0
+    assert spelled[1]["cycles"][0]["limit"]["map"] \
+        == "1/10000000000000*z + 1"
+
+
+def test_squared_tiny_decimal_reduces_to_infinity(capsys):
+    # the residues share the factor z^2 only when 1e-14 counts as zero
+    exact, spelled = run_exact_and_float(
+        capsys, ("reduce", "(z+1/10000000)^2/(z^2+t)", "--frame", "1"),
+        ("reduce", "(z+0.0000001)^2/(z^2+t)", "--frame", "1"))
+    assert spelled == exact
+    assert spelled[0] == 0
+    assert spelled[1]["reduced"]["map"] == "inf"
+
+
+def test_squared_tiny_decimal_orbit_fails_no_internal_check(capsys):
+    exact, spelled = run_exact_and_float(
+        capsys, ("orbit", "(z+1/10000000)^2/(z^2+t)", "--frame", "1"),
+        ("orbit", "(z+0.0000001)^2/(z^2+t)", "--frame", "1"))
+    assert spelled == exact
+    assert spelled[0] == 3
+    assert spelled[1]["error"]["type"] == "AdvanceNotTerminating"
+
+
+# each fixture with one constant spelled as a decimal, its seed frame, and
+# a frame center spelled both ways
+FLOAT_SPELLINGS = {
+    "quad0": (QUAD0, QUAD0.replace("1+t^2", "1.0+t^2"), "1"),
+    "mcm": (MCMULLEN, MCMULLEN.replace("t", "1.0*t"), "1/7"),
+    "lattes": (LATTES, LATTES.replace("4*", "4.0*"), "2/5"),
+}
+CENTERS = ("1/2 + 3/4*t^(1/8)", "0.5 + 0.75*t^(1/8)")
+
+
+@pytest.mark.parametrize("sub", ["reduce", "advance", "orbit", "verify",
+                                 "scan"])
+@pytest.mark.parametrize("key", sorted(FLOAT_SPELLINGS))
+def test_float_spelling_gives_the_exact_payload(capsys, key, sub):
+    exact_text, float_text, seed = FLOAT_SPELLINGS[key]
+
+    def argv(text, center):
+        return {
+            "reduce": ("reduce", text),
+            "advance": ("advance", text, "--frame", f"{seed}, {center}"),
+            "orbit": ("orbit", text, "--frame", seed, "--crosscheck"),
+            "verify": ("verify", text, "--frame", seed, "--points", "60"),
+            "scan": ("scan", text, "--max-denominator", "5"),
+        }[sub]
+
+    exact, spelled = run_exact_and_float(capsys, argv(exact_text, CENTERS[0]),
+                                         argv(float_text, CENTERS[1]))
+    assert float_text != exact_text
+    assert spelled == exact

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescaling import ApproxComplex, GaussianRational, PuiseuxSeries
+from rescaling import GaussianRational, PuiseuxSeries
 from rescaling import cpoly
 
 G = GaussianRational
@@ -93,13 +93,14 @@ entries = st.builds(complex, parts, parts)
 
 @given(st.integers(0, 3), st.lists(entries, max_size=7), st.integers(0, 2),
        st.booleans())
-def test_roots_numeric_matches_np_roots(low, core, top, approx):
+def test_roots_numeric_matches_np_roots(low, core, top, exact):
     # exact-zero low entries are roots at 0; exact-zero top entries are
-    # trimmed; roots must agree to the bit and in order
+    # trimmed; roots must agree to the bit and in order.  A double is a
+    # Gaussian rational, so each entry also has an exact spelling.
     p = [0j] * low + core + [0j] * top
     p = p[:7]
-    if approx:
-        p = [ApproxComplex(c.real, c.imag) for c in p]
+    if exact:
+        p = [G(c.real, c.imag) for c in p]
     got = cpoly.roots_numeric(p)
     assert [repr(r) for r in got] == [repr(r) for r in _np_roots(p)]
 
@@ -314,10 +315,6 @@ def _pdivmod_reference(p, q):
     return cpoly.trim(quot), cpoly.trim(rem)
 
 
-# signed zeros and small integers make exact cancellations and -0.0 parts
-float_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
-                        st.floats(-4, 4, allow_nan=False))
-approx_coeffs = st.builds(ApproxComplex, float_parts, float_parts)
 exact_coeffs = st.builds(
     G, *[st.fractions(min_value=-4, max_value=4, max_denominator=3)] * 2)
 
@@ -333,25 +330,22 @@ def _check_pdivmod(p, q):
         == [list(map(repr, x)) for x in want]
 
 
-@pytest.mark.parametrize("coeffs", [exact_coeffs, approx_coeffs],
-                         ids=["exact", "approx"])
+@pytest.mark.parametrize("coeffs", [exact_coeffs], ids=["exact"])
 @given(data=st.data())
 def test_pdivmod_matches_reference_loop(coeffs, data):
     _check_pdivmod(data.draw(st.lists(coeffs, max_size=9)),
                    data.draw(st.lists(coeffs, min_size=1, max_size=5)))
 
 
-A = ApproxComplex
-
-
 @pytest.mark.parametrize("p, q", [
-    # a quotient with a -0.0 part
-    ([A(0.0, -1.0)], [A(0.0, 1.0)]),
-    ([A(1.0), A(0.0, -1.0), A(0.0, 2.0)], [A(-1.0), A(0.0, 1.0)]),
-    # -0.0 in the remainder minus a -0.0 part of a product
-    ([A(-1.0, -0.0), A(1.0, -1.0), A(-0.0, 0.5)], [A(-0.0), A(-1.0, 0.5)]),
-    # a quotient below the zero threshold leaves the remainder untouched
-    ([A(1.0), A(3e-12)], [A(1.0), A(4.0)]),
+    # constants: -i / i
+    ([G(0, -1)], [G(0, 1)]),
+    # a dividend of lower degree than the divisor is its own remainder
+    (gp(1, 2), [G(0, 1), G(0), G(2, 1)]),
+    # (z + 1)(z - 2) / (z + 1): the remainder cancels to nothing
+    (gp(-2, -1, 1), gp(1, 1)),
+    # z^4 + 1 over (2+i) z^2 + i: a remainder step whose top entry is zero
+    (gp(1, 0, 0, 0, 1), [G(0, 1), G(0), G(2, 1)]),
 ])
 def test_pdivmod_matches_reference_loop_cases(p, q):
     _check_pdivmod(p, q)
@@ -375,19 +369,18 @@ def _got(poly):
     return [(repr(c.terms), c.trunc) for c in poly]
 
 
-@pytest.mark.parametrize("ftype, trunc, tiny", [
-    (G, inf, 0), (G, Fraction(5, 2), 0), (ApproxComplex, 3, 1e-13),
-], ids=["exact", "truncated", "approx"])
-def test_ring_helpers_on_series(ftype, trunc, tiny):
+@pytest.mark.parametrize("trunc", [inf, Fraction(5, 2)],
+                         ids=["exact", "truncated"])
+def test_ring_helpers_on_series(trunc):
     def s(tr, *terms):
-        return PuiseuxSeries.build(terms, tr, ftype)
+        return PuiseuxSeries.build(terms, tr)
 
     half = Fraction(1, 2)
-    # p[0] + q[0] cancels its constant term (to below the zero threshold
-    # when approximate); p's top entry is known to be zero only mod t^2
+    # p[0] + q[0] cancels its constant term; p's top entry is known to be
+    # zero only mod t^2
     p = [s(trunc, (0, 1), (1, 2)), s(inf, (half, -3)), s(trunc, (2, half)),
          s(2)]
-    q = [s(inf, (0, -1 + tiny), (half, half / 2)), s(trunc, (half, 3), (2, 1))]
+    q = [s(inf, (0, -1), (half, half / 2)), s(trunc, (half, 3), (2, 1))]
     zero = s(inf)
     assert _got(cpoly.trim(p + [zero, zero])) == _got(p)
     assert _got(cpoly.trim(q + [zero])) == _got(q)
@@ -402,7 +395,7 @@ def test_ring_helpers_on_series(ftype, trunc, tiny):
 
     assert _got(cpoly.padd(p, q)) == pairs(p, q, False)
     assert _got(cpoly.psub(p, q)) == pairs(p, q, True)
-    c = ftype.coerce(-2)
+    c = G(-2)
     assert _got(cpoly.pscale(p, c)) \
         == [_termwise([(e, a * c) for e, a in x.terms], x.trunc) for x in p]
     y = q[0]

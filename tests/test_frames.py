@@ -8,15 +8,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import rescaling.frames as frames_mod
-from rescaling import (AdvanceNotTerminating, AffineFrame, ApproxComplex,
-                       GaussianRational, PrecisionExhausted, PuiseuxSeries,
-                       RamificationCapExceeded, RescalingError, ScanResult,
-                       advance, canonicalize, compose_reduced,
+from rescaling import (AdvanceNotTerminating, AffineFrame, PrecisionExhausted,
+                       PuiseuxSeries, RamificationCapExceeded, RescalingError,
+                       ScanResult, advance, canonicalize, compose_reduced,
                        cycle_limit_crosscheck, equivalent_via_reduction,
                        escape_bound, find_cycle, frame_size,
                        monomial_seed_scan, parse_family, parse_frame,
                        period_set_check)
-from rescaling.config import APPROX_ZERO_THRESHOLD
 from .support import MCMULLEN, QUAD0, cycle, family, reduced, scan
 
 t_pow = PuiseuxSeries.t_power
@@ -363,7 +361,7 @@ def test_scan_matches_capped_advance_loop():
 
 def _scan_by_seed(fam, max_denominator):
     """The scan's result from one memo-free find_cycle call per seed."""
-    zero = PuiseuxSeries.zero(inf, fam.ftype)
+    zero = PuiseuxSeries.zero()
     seeds = sorted({Fraction(p, q) for q in range(2, max_denominator + 1)
                     for p in range(1, q)})
     out = ScanResult(seeds_scanned=len(seeds))
@@ -390,13 +388,12 @@ def _scan_by_seed(fam, max_denominator):
                          ids=["exact", "float"])
 def test_scan_advances_each_class_once(monkeypatch, text):
     fam = parse_family(text)
-    exact = fam.ftype is GaussianRational
     sources = []
     real = frames_mod.advance
 
     def counting(fam_, fr):
         fc = canonicalize(fr)
-        sources.append(fc.key() if exact else fc.bits_key())
+        sources.append(fc.key())
         return real(fam_, fr)
 
     monkeypatch.setattr(frames_mod, "advance", counting)
@@ -430,27 +427,16 @@ def test_result_records_are_immutable(record, field):
 # -- float families ----------------------------------------------------------
 
 
-def _close(a, b):
-    return abs(a.to_complex() - b.to_complex()) <= APPROX_ZERO_THRESHOLD
-
-
 def test_float_spelling_gives_the_same_cycles():
+    # a decimal literal is the rational it spells, so the cycles are equal
     exact = family("quad0")
-    approx = parse_family(QUAD0.replace("1+t^2", "1.0+t^2"))
-    assert approx.ftype is ApproxComplex
+    spelled = parse_family(QUAD0.replace("1+t^2", "1.0+t^2"))
     for seed in ("1", "3"):
         ce = find_cycle(exact, parse_frame(seed))
-        ca = find_cycle(approx, parse_frame(seed, ftype=ApproxComplex))
-        assert ca.period == ce.period
-        for fe, fa in zip(ce.frames, ca.frames):
-            assert fa.h == fe.h
-            assert [e for e, _ in fa.c.terms] == [e for e, _ in fe.c.terms]
-            assert all(_close(a, b) for (_, a), (_, b)
-                       in zip(fa.c.terms, fe.c.terms))
-        for pa, pe in ((ca.limit.num, ce.limit.num),
-                       (ca.limit.den, ce.limit.den)):
-            assert len(pa) == len(pe)
-            assert all(_close(a, b) for a, b in zip(pa, pe))
+        cs = find_cycle(spelled, parse_frame(seed))
+        assert cs.frames == ce.frames
+        assert cs.preperiod_frames == ce.preperiod_frames
+        assert cs.limit == ce.limit
 
 
 # -- equivalence properties --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every module-level import is used.
+"""Every module-level import is used, and every error class is raised.
 
 No lint tool is a dependency, so this scans the sources with ``ast``.  A
 package ``__init__.py`` is skipped: its imports are re-exports.
@@ -38,3 +38,44 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def error_classes(source: str):
+    """The classes of an errors module that derive from RescalingError."""
+    found = {"RescalingError"}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in found for b in stmt.bases):
+            found.add(stmt.name)
+    return found - {"RescalingError"}
+
+
+def raised_names(source: str):
+    """The names that ``raise X`` or ``raise X(...)`` statements raise."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_scan_finds_error_classes_and_raises():
+    assert error_classes("class RescalingError(Exception): pass\n"
+                         "class A(RescalingError): pass\n"
+                         "class B(A): pass\nclass C(ValueError): pass\n"
+                         ) == {"A", "B"}
+    assert raised_names("raise A('x')\nraise errors.B\ntry:\n    f()\n"
+                        "except C:\n    raise\n") == {"A", "B"}
+
+
+def test_every_error_class_has_a_raiser():
+    package = ROOT / "src/rescaling"
+    classes = error_classes((package / "errors.py").read_text())
+    raised = set().union(*(raised_names(p.read_text())
+                           for p in package.glob("*.py")))
+    assert classes and sorted(classes - raised) == []

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rescaling import (AffineFrame, ApproxComplex, DegenerateFamily,
-                       GaussianRational, MapL, PuiseuxSeries,
+from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
+                       PuiseuxSeries,
                        compose_families, compose_reduced, conjugate,
                        gauss_normalize, iterate_family, maps, parse_family,
                        parse_frame, precompose_affine, reduce_family,
                        resultant_series, resultant_valuation)
 from rescaling.config import default_truncation
-from rescaling.maps import _smul_exact, _smul_loop, resultant_vanishes, smul
+from rescaling.maps import _smul_exact, resultant_vanishes, smul
 from .support import family, reduced
 
 t_pow = PuiseuxSeries.t_power
@@ -126,6 +126,17 @@ series = st.builds(lambda ts, tr: PuiseuxSeries.build(ts, tr),
 series_polys = st.lists(series, min_size=1, max_size=4)
 
 
+def _smul_loop(p, q):
+    """Product of two series polynomials, one series product per pair: the
+    reference for the integer kernel."""
+    out = [None] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            prod = a * b
+            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
+    return out
+
+
 def _same(fast, slow):
     assert fast == slow
     assert [c.trunc for c in fast] == [c.trunc for c in slow]
@@ -143,12 +154,6 @@ def test_smul_kernel_matches_loop_on_cancellation(a, b):
     fast = _smul_exact([a, a], [b, -b])
     _same(fast, _smul_loop([a, a], [b, -b]))
     assert not fast[1].terms
-
-
-def test_smul_takes_loop_for_approximate_coefficients(monkeypatch):
-    fam = parse_family("t - (1.0+t^2)/z + t/z^2")
-    monkeypatch.setattr(maps, "_smul_exact", None)
-    assert maps.smul(fam.num, fam.den) == _smul_loop(fam.num, fam.den)
 
 
 def test_smul_kernel_matches_loop_on_quad0_iterates(monkeypatch):
@@ -226,15 +231,13 @@ def test_gauss_normalize_is_projective(num, den):
 @given(st.lists(st.lists(term, max_size=2), min_size=2, max_size=3),
        st.lists(st.lists(term, max_size=2), min_size=2, max_size=3),
        st.lists(st.lists(term, max_size=2), min_size=1, max_size=2),
-       st.sampled_from([inf, 2, 4]), st.booleans())
-def test_resultant_vanishes_matches_series(num, den, common, trunc, approx):
+       st.sampled_from([inf, 2, 4]))
+def test_resultant_vanishes_matches_series(num, den, common, trunc):
     # exact families are decided mod a prime at a point, the others by
-    # their residues; a shared factor makes the resultant vanish, and no
-    # certificate may claim otherwise
-    ftype = ApproxComplex if approx else GaussianRational
-
+    # their residues mod that prime; a shared factor makes the resultant
+    # vanish, and no certificate may claim otherwise
     def poly(cs):
-        return [PuiseuxSeries.build(ts, trunc, ftype) for ts in cs]
+        return [PuiseuxSeries.build(ts, trunc) for ts in cs]
 
     num, den, common = poly(num), poly(den), poly(common)
     assume(any(not c.is_zero for c in num))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rescaling import (ApproxComplex, GaussianRational, ParseError,
-                       parse_family, parse_frame)
+from rescaling import (GaussianRational, ParseError, parse_family,
+                       parse_frame, reduce_family)
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
 
 
@@ -50,17 +50,16 @@ def test_fractional_exponent_on_t_expression_rejected(base):
         parse_family(f"z^2 + {base}^(1/2)")
 
 
-@pytest.mark.parametrize("text,subst", [
-    ("(1/(t-t))^0", None),
-    ("(z^99999)^-0", None),
-    ("((z+1)^70/(1-1))^(0/3)", None),
-    ("(t^(1/2))^0", "-1+t"),
+@pytest.mark.parametrize("text,subst,msg", [
+    ("(1/(t-t))^0", None, "identically zero"),
+    ("(z^99999)^-0", None, "exceeds the cap"),
+    ("((z+1)^70/(1-1))^(0/3)", None, "exceeds the cap"),
+    ("(t^(1/2))^0", "-1+t", "cannot follow a substitution"),
 ])
-def test_base_raised_to_zero_is_not_evaluated(text, subst):
-    # the base is read, so its syntax must hold, but it is neither divided
-    # nor raised to powers: the factor is 1
-    fam = parse_family(f"z^2 + {text}", subst=subst)
-    assert str(fam) == str(parse_family("z^2 + 1"))
+def test_base_raised_to_zero_is_evaluated(text, subst, msg):
+    # a faulty base is refused even though the power would be 1
+    with pytest.raises(ParseError, match=msg):
+        parse_family(f"z^2 + {text}", subst=subst)
 
 
 def test_base_raised_to_zero_must_still_parse():
@@ -78,20 +77,34 @@ def test_fractional_exponent_after_substitution_rejected():
         parse_family("z^2 + t^(1/2)", subst="-1+t")
 
 
-def test_float_literals_give_approximate_coefficients():
-    fam = parse_family("0.5*z^2 + 1")
-    assert fam.ftype is ApproxComplex
+@pytest.mark.parametrize("decimal,exact", [
+    ("0.5", "1/2"), (".25", "1/4"), ("3.", "3"), ("0.0000001", "1/10000000"),
+    ("1.10", "11/10"),
+])
+def test_float_literals_give_exact_coefficients(decimal, exact):
+    fam = parse_family(f"{decimal}*z^2 + 1")
     assert fam.degree == 2
+    assert fam.num[2].coefficient(0) == GaussianRational(Fraction(exact))
 
 
 def test_imaginary_unit_stays_exact():
     fam = parse_family("z^2 + i")
-    assert fam.ftype is GaussianRational
     assert fam.num[0].coefficient(0) == GaussianRational(0, 1)
 
 
-def test_floats_demote_the_whole_family():
-    assert parse_family("0.5*z^2 + i").ftype is ApproxComplex
+def test_floats_equal_their_exact_spelling():
+    # a quotient keeps its denominator in the family, so compare reductions
+    assert reduce_family(parse_family("0.5*z^2 + i")) \
+        == reduce_family(parse_family("1/2*z^2 + i"))
+    assert [c.terms for c in parse_family("z^2 + t", subst="0.1*t").num] \
+        == [c.terms for c in parse_family("z^2 + t", subst="1/10*t").num]
+    assert parse_frame("1, 0.5 + 2.5*t^(1/2)").c \
+        == parse_frame("1, 1/2 + 5/2*t^(1/2)").c
+
+
+def test_decimal_exponent_is_a_parse_error():
+    with pytest.raises(ParseError, match="expected 'int'"):
+        parse_family("z^2.0")
 
 
 @pytest.mark.parametrize("text,msg", [
