@@ -38,7 +38,7 @@ def multiple_fixed_point(g: ReducedMap) -> bool:
 
     The d+1 fixed points of a degree-d map are the roots of R(z) - z*S(z)
     plus infinity with multiplicity d+1 minus that degree; an affine multiple
-    root is a vanishing discriminant.
+    root is a common root with the derivative.
     """
     d = g.degree
     fixed = cpoly.psub(list(g.num), [GaussianRational.zero()] + list(g.den))
@@ -47,7 +47,7 @@ def multiple_fixed_point(g: ReducedMap) -> bool:
         return True  # the identity: every fixed point degenerate
     if cpoly.degree(fixed) <= d - 1:
         return True
-    return cpoly.presultant(fixed, cpoly.pderiv(fixed)).is_zero
+    return cpoly.degree(cpoly.pgcd(fixed, cpoly.pderiv(fixed))) > 0
 
 
 def polynomial_like(g: ReducedMap) -> Tuple[bool, Optional[Point]]:

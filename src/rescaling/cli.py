@@ -3,10 +3,11 @@
 One subcommand per process, one JSON document on stdout.  Exit codes: 0 on
 success; on a package error, the ``exit_code`` of its class (2 when the input
 or a checked claim is wrong, 3 when the computation gave out); 2 on any
-other ``ValueError``.  The series truncation is decided here, once per run,
-and passed to every library call: --trunc, else the RESCALING_TRUNC
-environment variable, else 16.  Either knob must be a positive integer, or
-the run ends with exit code 2.  A run that exhausts precision is retried
+other ``ValueError``.  The series truncation is decided here, once per run:
+--trunc, else the RESCALING_TRUNC environment variable, else 16.  Families
+are exact, so it reaches only the expansion of frame centers and the
+iterate windows.  Either knob must be a positive integer, or the run ends
+with exit code 2.  A run that exhausts precision is retried
 with doubled truncation a few times before giving up.  A reader that closes
 stdout early gets no traceback, and the exit code stays the command's own.
 """
@@ -128,7 +129,7 @@ Outcome = Tuple[Dict, int]
 
 
 def _cmd_reduce(args, trunc) -> Outcome:
-    fam = parse_family(args.family, args.subst, trunc)
+    fam = parse_family(args.family, args.subst)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     work = fam
@@ -142,7 +143,7 @@ def _cmd_reduce(args, trunc) -> Outcome:
 
 
 def _cmd_advance(args, trunc) -> Outcome:
-    fam = parse_family(args.family, args.subst, trunc)
+    fam = parse_family(args.family, args.subst)
     frame = parse_frame(args.frame, trunc)
     st = advance(fam, frame)
     payload = _payload(args)
@@ -153,7 +154,7 @@ def _cmd_advance(args, trunc) -> Outcome:
 
 
 def _cmd_orbit(args, trunc) -> Outcome:
-    fam = parse_family(args.family, args.subst, trunc)
+    fam = parse_family(args.family, args.subst)
     seed = parse_frame(args.frame, trunc)
     cycle = find_cycle(fam, seed, args.max_steps)
     payload = _payload(args)
@@ -183,7 +184,7 @@ def _cmd_orbit(args, trunc) -> Outcome:
 
 
 def _scan_payload(args, trunc) -> Tuple[Dict, MapL, ScanResult]:
-    fam = parse_family(args.family, args.subst, trunc)
+    fam = parse_family(args.family, args.subst)
     res = monomial_seed_scan(fam, args.max_denominator, args.max_steps)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -203,7 +204,7 @@ def _cmd_scan(args, trunc) -> Outcome:
 
 
 def _cmd_verify(args, trunc) -> Outcome:
-    fam = parse_family(args.family, args.subst, trunc)
+    fam = parse_family(args.family, args.subst)
     seed = parse_frame(args.frame, trunc)
     cycle = find_cycle(fam, seed, args.max_steps)
     s_grid = tuple(float(s) for s in args.s_grid.split(","))

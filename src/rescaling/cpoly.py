@@ -178,22 +178,6 @@ def peval(p: Sequence[GaussianRational],
     return acc
 
 
-def presultant(p: Sequence[GaussianRational],
-               q: Sequence[GaussianRational]) -> GaussianRational:
-    """Resultant via the Sylvester determinant, degrees taken after trimming."""
-    p, q = trim(p), trim(q)
-    if not p or not q:
-        return GaussianRational.zero()
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0 and n == 0:
-        return GaussianRational.one()
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    return field_det(sylvester(p, q, GaussianRational.zero()))
-
-
 def sylvester(p: Sequence, q: Sequence, zero) -> List[List]:
     """The Sylvester matrix of p and q at their formal degrees m and n:
     n shifted rows of p's coefficients, highest first, then m of q's."""
@@ -203,31 +187,39 @@ def sylvester(p: Sequence, q: Sequence, zero) -> List[List]:
             + [[zero] * i + qd + [zero] * (m - 1 - i) for i in range(m)])
 
 
-def field_det(rows: List[List[GaussianRational]]) -> GaussianRational:
-    """Determinant by Gaussian elimination with magnitude pivoting."""
+def pdet(rows: List[List[Poly]]) -> Poly:
+    """Determinant of a square matrix of polynomials over Q(i), by
+    fraction-free elimination (E. Bareiss, Math. Comp. 22 (1968)).
+
+    Step k sets each entry a_ij below and right of the pivot a_kk to
+    (a_kk a_ij - a_ik a_kj) / p, p the previous pivot (1 at first).  By
+    Sylvester's identity the new a_ij is the minor of the input on rows
+    0..k, i and columns 0..k, j, so every division is exact and the last
+    pivot is the determinant.  A zero pivot is swapped with a lower row,
+    which flips the sign.  The empty matrix has determinant 1.
+
+    >>> one = GaussianRational.one()
+    >>> [str(c) for c in pdet([[[one, one], [one]], [[one], [one, -one]]])]
+    ['0', '0', '-1']
+    """
+    rows = [[trim(a) for a in row] for row in rows]
     n = len(rows)
-    rows = [list(r) for r in rows]
-    det = GaussianRational.one()
-    for col in range(n):
-        piv, piv_mag = None, None
-        for r in range(col, n):
-            mag = rows[r][col].abs2()
-            if not rows[r][col].is_zero and (piv is None or mag > piv_mag):
-                piv, piv_mag = r, mag
+    sign, prev = 1, [GaussianRational.one()]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
         if piv is None:
-            return GaussianRational.zero()
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        inv = pivot.inverse()
-        for r in range(col + 1, n):
-            if rows[r][col].is_zero:
-                continue
-            factor = rows[r][col] * inv
-            rows[r] = [rows[r][j] - factor * rows[col][j] for j in range(n)]
-    return det
+            return []
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = pdiv_exact(
+                    psub(pmul(top[k], row[j]), pmul(lead, top[j])), prev)
+        prev = top[k]
+    return prev if sign > 0 else [-c for c in prev]
 
 
 def roots_numeric(p: Sequence[Union[GaussianRational, complex]]

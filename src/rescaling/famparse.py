@@ -13,9 +13,12 @@ to the power 0.  A first pass reads the grammar alone, so a malformed text
 is reported as such before any fault in its value.  A z where only t may
 appear is found by scanning the tokens.
 
-A substitution t -> expr(t) is applied once, at build time, to the parsed
-family.  Fractional t-exponents cannot be combined with a substitution,
-since the result would need fractional powers of a general series.
+A substitution t -> a(t)/b(t) is applied exactly, as the family is read:
+t stands for that quotient, and b is cleared with the other denominators,
+so every family is exact.  A one-term b is folded into a, so that 1/t
+stands for t^-1 and adds no denominator.  Fractional t-exponents cannot be
+combined with a substitution, since the result would need fractional
+powers of a(t)/b(t).
 """
 
 from __future__ import annotations
@@ -64,17 +67,17 @@ def _tokenize(text: str) -> List[Token]:
 
 class _Parser:
     """Recursive descent in which every rule returns the :class:`_Rat`
-    value of the text it read; t stands for ``subst`` if one is given.
+    value of the text it read; t stands for the quotient ``subst`` if one
+    is given.
     Unless ``evaluate``, every value is :data:`_UNEVALUATED`."""
 
-    def __init__(self, tokens: List[Token],
-                 subst: Optional[PuiseuxSeries] = None,
+    def __init__(self, tokens: List[Token], subst: Optional[_Rat] = None,
                  evaluate: bool = True):
         self.toks = tokens
         self.pos = 0
         self.one = PuiseuxSeries.one()
         self.subst = subst
-        self.t = PuiseuxSeries.t_power(1) if subst is None else subst
+        self.t = subst or _Rat([PuiseuxSeries.t_power(1)], [self.one])
         self.evaluate = evaluate
 
     def peek(self) -> Optional[str]:
@@ -153,7 +156,7 @@ class _Parser:
         if kind == "z":
             return self.value([PuiseuxSeries.zero(), self.one])
         if kind == "t":
-            return self.const(self.t)
+            return self.t if self.evaluate else _UNEVALUATED
         if kind == "i":
             value = GaussianRational(0, 1)
         return self.const(PuiseuxSeries.constant(value))
@@ -245,21 +248,23 @@ def _check_degree(degree: int) -> None:
             details={"degree": degree, "cap": ITERATE_DEGREE_CAP})
 
 
-def _read(tokens: List[Token],
-          subst: Optional[PuiseuxSeries] = None) -> _Rat:
+def _read(tokens: List[Token], subst: Optional[_Rat] = None) -> _Rat:
     """The value the tokens spell, once their grammar has been read."""
     _Parser(tokens, evaluate=False).parse()
     return _Parser(tokens, subst).parse()
 
 
-def _t_series(tokens: List[Token], trunc, what: str) -> PuiseuxSeries:
-    """The series in t that a substitution or a frame center spells."""
+def _t_quotient(tokens: List[Token],
+                what: str) -> Tuple[PuiseuxSeries, PuiseuxSeries]:
+    """The a(t) and b(t) of the quotient that a substitution or a frame
+    center spells, with a one-term b folded into a (b is then 1)."""
     if any(kind == "z" for kind, _ in tokens):
         raise ParseError(f"{what} may only involve t")
     rat = _read(tokens)
-    num, den = rat.num[0], rat.den[0]
-    prec = None if den.is_exact and len(den.terms) <= 1 else trunc
-    return num * den.inverse(prec=prec)
+    a, b = rat.num[0], rat.den[0]
+    if len(b.terms) == 1:
+        return a * b.inverse(), PuiseuxSeries.one()
+    return a, b
 
 
 def _depth_checked(parse):
@@ -274,9 +279,11 @@ def _depth_checked(parse):
 
 
 @_depth_checked
-def parse_family(text: str, subst: Optional[str] = None,
-                 trunc=DEFAULT_TRUNC) -> MapL:
+def parse_family(text: str, subst: Optional[str] = None) -> MapL:
     """Parse a family of maps in z with coefficients rational in t.
+
+    The family is exact: a substitution ``subst`` for t is applied without
+    expanding it as a series.
 
     A z-degree above ``ITERATE_DEGREE_CAP``, in the family or in any power
     it takes, is a :class:`ParseError`; a family whose numerator and
@@ -288,12 +295,13 @@ def parse_family(text: str, subst: Optional[str] = None,
     5
     """
     tokens = _tokenize(text)
-    tserie = None
+    t = None
     if subst is not None:
-        tserie = _t_series(_tokenize(subst), trunc, "substitution")
-        if not tserie.terms:
+        a, b = _t_quotient(_tokenize(subst), "substitution")
+        if a.is_zero:
             raise ParseError("substitution must be a nonzero series in t")
-    rat = _read(tokens, tserie)
+        t = _Rat([a], [b])
+    rat = _read(tokens, t)
     num, den = rat.num, rat.den
     # common-denominator addition of z^-k terms leaves a shared z^k factor;
     # strip it so the stated degree is the true one
@@ -312,6 +320,9 @@ def parse_family(text: str, subst: Optional[str] = None,
 def parse_frame(text: str, trunc=DEFAULT_TRUNC) -> AffineFrame:
     """Parse a frame "h" or "h, center": h a rational, center a series in t.
 
+    A center a(t)/b(t) whose b has more than one term is expanded mod
+    t^``trunc``.
+
     >>> parse_frame("2/5").h
     Fraction(2, 5)
     """
@@ -323,4 +334,5 @@ def parse_frame(text: str, trunc=DEFAULT_TRUNC) -> AffineFrame:
         raise ParseError(f"bad zoom exponent {head!r}: {exc}") from None
     if not rest.strip():
         return AffineFrame(h, PuiseuxSeries.zero())
-    return AffineFrame(h, _t_series(_tokenize(rest), trunc, "frame center"))
+    a, b = _t_quotient(_tokenize(rest), "frame center")
+    return AffineFrame(h, a if b == 1 else a * b.inverse(prec=trunc))

@@ -27,15 +27,6 @@ from .puiseux import PuiseuxSeries
 
 def smul(p: Sequence[PuiseuxSeries],
          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Product of two series polynomials, multiplied on Python ints by
-    :func:`_smul_exact`."""
-    if not p or not q:
-        return []
-    return _smul_exact(p, q)
-
-
-def _smul_exact(p: Sequence[PuiseuxSeries],
-                q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
     """Product of two series polynomials on Python ints.
 
     The result equals, in terms and in ``trunc``, that of the loop which
@@ -64,6 +55,8 @@ def _smul_exact(p: Sequence[PuiseuxSeries],
     int product over D_p D_q, and each output coefficient is reduced to
     lowest terms once.
     """
+    if not p or not q:
+        return []
     n = len(p) + len(q) - 1
     r = lcm(*(e.denominator for c in chain(p, q) for e, _ in c.terms),
             *(c.trunc.denominator for c in chain(p, q) if c.trunc != inf))
@@ -428,18 +421,37 @@ def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
 
 
 def resultant_series(fam: MapL) -> PuiseuxSeries:
-    """Res_z(P, Q) as a series, by a division-free determinant."""
+    """Res_z(P, Q) at the degrees of P and Q, exactly.
+
+    Each coefficient is a Laurent polynomial in s = t^(1/r), r the lcm of
+    the exponent denominators.  Scaled by s^a and s^b to polynomials, P and
+    Q of degrees m and n give a Sylvester matrix over Q(i)[s] whose
+    determinant, by :func:`cpoly.pdet`, is s^(a n + b m) Res(P, Q).  An
+    inexact coefficient is a ``ValueError``.
+    """
     p, q = cpoly.trim(fam.num), cpoly.trim(fam.den)
+    if not all(c.is_exact for c in p + q):
+        raise ValueError("resultant of a family with inexact coefficients")
     if not p or not q:
         return PuiseuxSeries.zero()
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0 and n == 0:
-        return PuiseuxSeries.one()
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    return _series_det(cpoly.sylvester(p, q, PuiseuxSeries.zero()))
+    r = lcm(*(e.denominator for c in p + q for e, _ in c.terms))
+    polys, shift = [], 0
+    for b, rows in ((p, len(q) - 1), (q, len(p) - 1)):
+        low = min(_scaled(e, r) for c in b for e, _ in c.terms)
+        shift += low * rows
+        polys.append([_s_poly(c, r, low) for c in b])
+    det = cpoly.pdet(cpoly.sylvester(*polys, []))
+    return PuiseuxSeries.build(
+        [(Fraction(k + shift, r), g) for k, g in enumerate(det)], inf)
+
+
+def _s_poly(c: PuiseuxSeries, r: int, low: int) -> cpoly.Poly:
+    """The exact series c / s^low as a polynomial in s = t^(1/r)."""
+    out = [GaussianRational.zero()] * (
+        _scaled(c.terms[-1][0], r) - low + 1 if c.terms else 0)
+    for e, g in c.terms:
+        out[_scaled(e, r) - low] = g
+    return out
 
 
 # A nonzero resultant is certified by a Sylvester determinant mod the prime
@@ -452,59 +464,25 @@ _J = pow(7, (_P - 1) // 4, _P)
 def resultant_vanishes(fam: MapL) -> bool:
     """Whether ``resultant_series(fam)`` is identically zero.
 
-    That series costs time exponential in the degree, so it is computed
-    only for truncated families, and only when no certificate of a nonzero
-    resultant is found.  A ring map
-    sends the Sylvester determinant, a polynomial in the entries, to the
-    determinant of the mapped matrix at the same formal degrees, so a
-    nonzero image proves the resultant nonzero.  An exact family, a Laurent
-    polynomial in s = t^(1/r), is sent to s = J mod P.  A truncated family
-    is scaled, P and Q each by a power of t, to least valuation 0, which
-    scales the resultant by a power of t, and is sent to its residues mod P.
+    A ring map sends the Sylvester determinant, a polynomial in the
+    entries, to the determinant of the mapped matrix at the same formal
+    degrees, so a nonzero image proves the resultant nonzero.  An exact
+    family, a Laurent polynomial in s = t^(1/r), is sent to s = J mod P,
+    where elimination costs time cubic in the degree.  Only when that
+    image vanishes is the resultant itself computed: its determinant over
+    Q(i)[s] takes seconds at z-degree 32 and more, which ``parse_family``
+    accepts.
     """
     p, q = cpoly.trim(fam.num), cpoly.trim(fam.den)
-    if len(p) > 1 and len(q) > 1:
+    if len(p) > 1 and len(q) > 1 and all(c.is_exact for c in p + q):
         try:
-            certified = not _singular_mod_p(
-                cpoly.sylvester(*_specialized_mod_p(p, q), 0))
-        except (PrecisionExhausted, ValueError):
-            certified = False  # a residue hidden, or P divides a denominator
-        if certified:
-            return False
-        if all(c.is_exact for c in p + q):
-            return _exact_resultant_vanishes(p, q)
+            image = cpoly.sylvester(*_specialized_mod_p(p, q), 0)
+        except ValueError:
+            pass  # P divides a denominator
+        else:
+            if not _singular_mod_p(image):
+                return False
     return resultant_series(fam).is_zero
-
-
-def _exact_resultant_vanishes(p: List[PuiseuxSeries],
-                              q: List[PuiseuxSeries]) -> bool:
-    """Res(P, Q) = 0 for exact P, Q of degrees m, n >= 1.
-
-    Each product of one Sylvester entry per row is a Laurent polynomial in
-    s = t^(1/r), so the resultant is a power of s times a polynomial of
-    degree at most n span(P) + m span(Q), span being the spread of a
-    polynomial's exponents in s.  It vanishes identically iff it vanishes
-    at s = 1, 2, ..., one point more than that degree: there it is a
-    determinant over Q(i).  Polynomial time, unlike the series.
-    """
-    r = lcm(*(e.denominator for c in p + q for e, _ in c.terms))
-
-    def span(b: List[PuiseuxSeries]) -> int:
-        ks = [int(e * r) for c in b for e, _ in c.terms]
-        return max(ks) - min(ks)
-
-    zero = GaussianRational.zero()
-    for s in range(1, (len(q) - 1) * span(p) + (len(p) - 1) * span(q) + 2):
-        at_s = [[sum((a * Fraction(s) ** int(e * r) for e, a in c.terms),
-                     zero) for c in b] for b in (p, q)]
-        if not cpoly.field_det(cpoly.sylvester(*at_s, zero)).is_zero:
-            return False
-    return True
-
-
-def _scaled_residues(b: List[PuiseuxSeries]) -> cpoly.Poly:
-    v = block_min_val(b)
-    return [c.shift(-v).residue() for c in b]
 
 
 def _mod_p(g: GaussianRational) -> int:
@@ -512,11 +490,9 @@ def _mod_p(g: GaussianRational) -> int:
 
 
 def _specialized_mod_p(p: List[PuiseuxSeries], q: List[PuiseuxSeries]):
-    if all(c.is_exact for c in p + q):
-        r = lcm(*(e.denominator for c in p + q for e, _ in c.terms))
-        return [[sum(_mod_p(a) * pow(_J, int(e * r), _P)
-                     for e, a in c.terms) % _P for c in b] for b in (p, q)]
-    return [[_mod_p(g) for g in _scaled_residues(b)] for b in (p, q)]
+    r = lcm(*(e.denominator for c in p + q for e, _ in c.terms))
+    return [[sum(_mod_p(a) * pow(_J, int(e * r), _P)
+                 for e, a in c.terms) % _P for c in b] for b in (p, q)]
 
 
 def _singular_mod_p(rows: List[List[int]]) -> bool:
@@ -534,33 +510,6 @@ def _singular_mod_p(rows: List[List[int]]) -> bool:
             if f:
                 rows[k] = [(x - f * y) % _P for x, y in zip(rows[k], rows[c])]
     return False
-
-
-def _series_det(rows: List[List[PuiseuxSeries]]) -> PuiseuxSeries:
-    # Laplace expansion by columns, memoized on the set of used rows; no
-    # divisions, so no truncation is lost to series inversion.
-    n = len(rows)
-    dp = {0: PuiseuxSeries.one()}
-    for col in range(n):
-        nxt = {}
-        for mask, minor in dp.items():
-            for r in range(n):
-                bit = 1 << r
-                if mask & bit:
-                    continue
-                entry = rows[r][col]
-                if entry.is_zero:
-                    continue
-                below = (mask & (bit - 1)).bit_count()
-                term = minor * entry
-                if (col + below) % 2:
-                    term = -term
-                key = mask | bit
-                nxt[key] = term if key not in nxt else nxt[key] + term
-        dp = nxt
-        if not dp:
-            return PuiseuxSeries.zero()
-    return dp[(1 << n) - 1]
 
 
 def resultant_valuation(fam: MapL) -> Fraction:

@@ -270,6 +270,18 @@ def test_identically_degenerate_family_exits_3(capsys, family):
     assert doc["error"]["type"] == "DegenerateFamily"
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduce", "(z+t)/(z+t)"),
+    ("orbit", "(z+t)*(z-1)/((z+t)*(z+2))", "--frame", "1"),
+], ids=["reduce", "orbit"])
+def test_degenerate_family_under_substitution_exits_3(capsys, argv):
+    # t -> t/(1+t) is applied exactly, so the shared factor z + t still
+    # makes the resultant vanish
+    code, doc = run(capsys, *argv, "--subst", "t/(1+t)")
+    assert code == 3
+    assert doc["error"]["type"] == "DegenerateFamily"
+
+
 def test_closed_stdout_ends_without_traceback():
     src = str(Path(rescaling.__file__).resolve().parents[1])
     proc = subprocess.Popen(
@@ -407,9 +419,13 @@ def test_report_loads_no_sympy(family):
 
 
 def test_trunc_flag(capsys):
-    code, doc = run(capsys, "reduce", "z^2 + 1/(1-t)", "--trunc", "8")
+    # a family is exact; --trunc cuts the expansion of a frame center
+    code, doc = run(capsys, "reduce", "z^2", "--frame", "0, 1/(1-t)",
+                    "--trunc", "8")
     assert code == 0
-    assert doc["reduced"]["map"] == "z^2 + 1"
+    assert doc["frames"][0]["center"] \
+        == "1 + t + t^2 + t^3 + t^4 + t^5 + t^6 + t^7 + O(t^8)"
+    assert doc["reduced"]["map"] == "z^2 + 2*z + 1"
 
 
 @pytest.mark.parametrize("env, argv, knob", [
@@ -502,7 +518,7 @@ def test_library_ignores_truncation_env(monkeypatch, env):
 
 
 @pytest.mark.parametrize("argv", [
-    ("reduce", "z^2 + 1/(1-t)"),
+    ("reduce", "z^2", "--frame", "0, 1/(1-t)"),
     ("reduce", "z^2 + 1/(1-t)", "--frame", "1, 1/(1-t)"),
 ], ids=["plain", "framed"])
 def test_cli_takes_truncation_from_env(capsys, monkeypatch, argv):
@@ -510,7 +526,7 @@ def test_cli_takes_truncation_from_env(capsys, monkeypatch, argv):
     flag = run(capsys, *argv, "--trunc", "8")
     monkeypatch.setenv("RESCALING_TRUNC", "8")
     assert run(capsys, *argv) == flag
-    assert flag[0] == 0
+    assert flag[0] == 0 and flag[1]["frames"]
     assert all(fr["center"].endswith("O(t^8)") for fr in flag[1]["frames"])
 
 

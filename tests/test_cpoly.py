@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescaling import GaussianRational, PuiseuxSeries
+from rescaling import GaussianRational, MapL, PuiseuxSeries, resultant_series
 from rescaling import cpoly
 
 G = GaussianRational
@@ -246,10 +246,28 @@ def _det_by_permutations(rows):
     return total
 
 
-@given(st.lists(st.lists(gaussians, min_size=3, max_size=3),
-                min_size=3, max_size=3))
-def test_field_det_matches_permutation_expansion(rows):
-    assert cpoly.field_det(rows) == _det_by_permutations(rows)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(gaussians, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_pdet_matches_permutation_expansion(rows):
+    # constant entries; the empty matrix has determinant 1
+    det = cpoly.pdet([[[c] for c in row] for row in rows])
+    assert len(det) <= 1
+    assert (det[0] if det else G.zero()) == _det_by_permutations(rows)
+
+
+small_polys = st.lists(st.integers(-2, 2).map(lambda n: G(n, 0)), max_size=3)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_pdet_matches_permutation_expansion_on_polynomials(rows):
+    # the determinant has degree <= 2n, so 2n + 1 points pin it down
+    det = cpoly.pdet(rows)
+    assert det == cpoly.trim(det)
+    assert cpoly.degree(det) <= 2 * len(rows)
+    for x in range(2 * len(rows) + 1):
+        at_x = [[cpoly.peval(e, G(x, 0)) for e in row] for row in rows]
+        assert cpoly.peval(det, G(x, 0)) == _det_by_permutations(at_x)
 
 
 int_polys = st.lists(st.integers(min_value=-5, max_value=5),
@@ -258,8 +276,12 @@ int_polys = st.lists(st.integers(min_value=-5, max_value=5),
 
 @given(int_polys, int_polys)
 def test_resultant_matches_sympy(p_ints, q_ints):
+    # a t-free family, its resultant a constant series
     p, q = gp(*p_ints), gp(*q_ints)
-    ours = cpoly.presultant(p, q)
+    res = resultant_series(MapL([PuiseuxSeries.constant(c) for c in p],
+                                [PuiseuxSeries.constant(c) for c in q]))
+    assert res.is_exact and all(e == 0 for e, _ in res.terms)
+    ours = res.coefficient(0)
     pt, qt = cpoly.trim(p), cpoly.trim(q)
     if not pt or not qt:
         assert ours == G.zero()

@@ -99,6 +99,21 @@ def test_quadratic_perturbed_period_three_cycle():
     assert c.limit == reduced("z^2 + 1")
 
 
+def test_quadratic_cycles_survive_a_rational_substitution():
+    # t -> t/(1+t) is applied exactly; the frames of t and of t/(1+t) at
+    # the same exponent differ by a unit, so the cycles keep their bases,
+    # periods and limits
+    fam = parse_family(QUAD0, subst="t/(1+t)")
+    assert all(c.is_exact for c in fam.coeffs())
+    two = find_cycle(fam, parse_frame("1"))
+    assert [str(f) for f in two.frames] == ["(1, 0)", "(-1, 0)"]
+    assert two.limit == reduced("(z^2+z-1)/(z-1)")
+    three = find_cycle(fam, parse_frame("3"))
+    assert [str(f) for f in three.frames[:2]] == ["(3, 0)", "(-5, 0)"]
+    assert three.period == 3 and three.limit == reduced("z^2")
+    assert cycle_limit_crosscheck(fam, three)
+
+
 def test_cubic_cycles_all_three_parametrizations():
     c = cycle("cubic", "3")
     assert [str(f) for f in c.frames] == ["(3, 0)", "(5, 1)", "(4, 1 + t)"]

@@ -1,10 +1,11 @@
 """Family normalization, reduction, composition, and the resultant budget."""
 
+import time
 from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
@@ -14,7 +15,7 @@ from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
                        parse_frame, precompose_affine, reduce_family,
                        resultant_series, resultant_valuation)
 from rescaling.config import default_truncation
-from rescaling.maps import _smul_exact, resultant_vanishes, smul
+from rescaling.maps import resultant_vanishes, smul
 from .support import family, reduced
 
 t_pow = PuiseuxSeries.t_power
@@ -145,13 +146,13 @@ def _same(fast, slow):
 
 @given(series_polys, series_polys)
 def test_smul_kernel_matches_loop(p, q):
-    _same(_smul_exact(p, q), _smul_loop(p, q))
+    _same(smul(p, q), _smul_loop(p, q))
 
 
 @given(series, series)
 def test_smul_kernel_matches_loop_on_cancellation(a, b):
     # (a + a z)(b - b z) = ab - ab z^2: the middle entry cancels
-    fast = _smul_exact([a, a], [b, -b])
+    fast = smul([a, a], [b, -b])
     _same(fast, _smul_loop([a, a], [b, -b]))
     assert not fast[1].terms
 
@@ -189,12 +190,9 @@ def test_resultant_degenerate():
 
 
 def test_resultant_matches_residue_resultant_for_constant_families():
-    from rescaling import cpoly
+    # Res(P, z - 2) = P(2) for P of degree 2
     fam = parse_family("(z^2+3*z+1)/(z-2)")
-    series = resultant_series(fam)
-    direct = cpoly.presultant([c.residue() for c in fam.num],
-                              [c.residue() for c in fam.den])
-    assert series == PuiseuxSeries.constant(direct)
+    assert resultant_series(fam) == PuiseuxSeries.constant(11)
 
 
 exps = st.integers(min_value=0, max_value=3)
@@ -230,14 +228,12 @@ def test_gauss_normalize_is_projective(num, den):
 
 @given(st.lists(st.lists(term, max_size=2), min_size=2, max_size=3),
        st.lists(st.lists(term, max_size=2), min_size=2, max_size=3),
-       st.lists(st.lists(term, max_size=2), min_size=1, max_size=2),
-       st.sampled_from([inf, 2, 4]))
-def test_resultant_vanishes_matches_series(num, den, common, trunc):
-    # exact families are decided mod a prime at a point, the others by
-    # their residues mod that prime; a shared factor makes the resultant
-    # vanish, and no certificate may claim otherwise
+       st.lists(st.lists(term, max_size=2), min_size=1, max_size=2))
+def test_resultant_vanishes_matches_series(num, den, common):
+    # families are decided mod a prime at a point; a shared factor makes
+    # the resultant vanish, and no certificate may claim otherwise
     def poly(cs):
-        return [PuiseuxSeries.build(ts, trunc) for ts in cs]
+        return [PuiseuxSeries.build(ts, inf) for ts in cs]
 
     num, den, common = poly(num), poly(den), poly(common)
     assume(any(not c.is_zero for c in num))
@@ -247,12 +243,72 @@ def test_resultant_vanishes_matches_series(num, den, common, trunc):
 
 
 @pytest.mark.parametrize("text", [
-    "z*(z+1)^7/(z^8+t)",  # exact; the residues share the factor z
-    "(z+1)^10/(z^10+2+1/(1-t))",  # truncated; the residues are coprime
+    "z*(z+1)^7/(z^8+t)",  # the residues share the factor z
+    "(z+1)^10/(z^10+2+1/(1-t))",  # 1/(1-t) is cleared: P, Q have t-degree 1
 ])
 def test_resultant_vanishes_decides_without_the_series(monkeypatch, text):
-    # the series determinant takes 8 s for two degree-8 polynomials and
-    # minutes for degree 10
+    # the certificate mod a prime decides both, so the exact determinant,
+    # which takes seconds at z-degree 32, is not computed
     fam = parse_family(text)
     monkeypatch.setattr(maps, "resultant_series", None)
     assert not resultant_vanishes(fam)
+
+
+# -- the exact resultant against the subset expansion -----------------------
+
+def _series_det(rows):
+    """Laplace expansion by columns, memoized on the set of used rows: the
+    exponential-time reference for the fraction-free determinant."""
+    n = len(rows)
+    dp = {0: PuiseuxSeries.one()}
+    for col in range(n):
+        nxt = {}
+        for mask, minor in dp.items():
+            for r in range(n):
+                bit = 1 << r
+                if mask & bit or rows[r][col].is_zero:
+                    continue
+                term = minor * rows[r][col]
+                if (col + (mask & (bit - 1)).bit_count()) % 2:
+                    term = -term
+                key = mask | bit
+                nxt[key] = term if key not in nxt else nxt[key] + term
+        dp = nxt
+        if not dp:
+            return PuiseuxSeries.zero()
+    return dp[(1 << n) - 1]
+
+
+laurent = st.lists(st.tuples(st.integers(-2, 3).map(lambda k: Fraction(k, 2)),
+                             coeff_ints), max_size=2).map(
+    lambda ts: PuiseuxSeries.build(ts, inf))
+
+
+@settings(max_examples=60)
+@given(st.lists(laurent, min_size=2, max_size=7),
+       st.lists(laurent, min_size=2, max_size=7))
+def test_resultant_series_matches_subset_expansion(num, den):
+    from rescaling import cpoly
+    p, q = cpoly.trim(num), cpoly.trim(den)
+    assume(len(p) > 1 and len(q) > 1)
+    expected = _series_det(cpoly.sylvester(p, q, PuiseuxSeries.zero()))
+    assert resultant_series(MapL(num, den)) == expected
+
+
+@pytest.mark.parametrize("num, den", [
+    ([t_pow(1), one()], [one().cap(3), one()]),
+    ([t_pow(1, trunc=2), one()], [one()]),
+], ids=["den", "num"])
+def test_resultant_refuses_inexact_coefficients(num, den):
+    with pytest.raises(ValueError, match="inexact"):
+        resultant_series(MapL(num, den))
+    with pytest.raises(ValueError, match="inexact"):
+        resultant_vanishes(MapL(num, den))
+
+
+def test_resultant_valuation_is_polynomial_time():
+    # the subset expansion took 1.2 s at n = 8 and minutes at n = 10
+    fam = parse_family("(z+1)^10/(z^10+2+t)")
+    start = time.perf_counter()
+    assert resultant_valuation(fam) == 0
+    assert time.perf_counter() - start < 2
