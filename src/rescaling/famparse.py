@@ -77,7 +77,8 @@ class _Parser:
         self.pos = 0
         self.one = PuiseuxSeries.one()
         self.subst = subst
-        self.t = subst or _Rat([PuiseuxSeries.t_power(1)], [self.one])
+        self.t = subst if subst is not None else _Rat(
+            [PuiseuxSeries.t_power(1)], [self.one])
         self.evaluate = evaluate
 
     def peek(self) -> Optional[str]:
