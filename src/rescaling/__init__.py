@@ -9,11 +9,10 @@ postcritical finiteness) and numerically spot-checked at small parameters.
 """
 
 from .coefficients import GaussianRational
-from .config import default_truncation
 from .errors import (AdvanceNotTerminating, AssertionFailed,
                      DegenerateFamily, DegreeCapExceeded, GridDegenerate,
                      ParseError, PrecisionExhausted, RamificationCapExceeded,
-                     RefuseToSample, RescalingError, ToleranceAmbiguous)
+                     RescalingError)
 from .puiseux import PuiseuxSeries
 from .maps import (AffineFrame, MapL, ReducedMap, compose_families,
                    compose_reduced, conjugate, gauss_normalize,
@@ -39,11 +38,11 @@ __all__ = [
     "GaussianRational", "GridDegenerate", "LimitClassification", "MapL",
     "ParseError", "PcfReport", "PeriodSetReport", "PrecisionExhausted",
     "PuiseuxSeries", "RamificationCapExceeded", "ReducedMap",
-    "RefuseToSample", "RescalingCycle", "RescalingError",
-    "ScanResult", "StepResult", "ToleranceAmbiguous", "VerificationReport",
+    "RescalingCycle", "RescalingError", "ScanResult", "StepResult",
+    "VerificationReport",
     "advance", "canonicalize", "chordal_distance", "classify_limit",
     "compose_families", "compose_reduced", "conjugate",
-    "cycle_limit_crosscheck", "default_truncation",
+    "cycle_limit_crosscheck",
     "equivalent_via_reduction", "escape_bound", "find_cycle", "frame_size",
     "gauss_normalize",
     "iterate_family", "monomial_seed_scan", "multiple_fixed_point",

@@ -3,13 +3,10 @@
 One subcommand per process, one JSON document on stdout.  Exit codes: 0 on
 success; on a package error, the ``exit_code`` of its class (2 when the input
 or a checked claim is wrong, 3 when the computation gave out); 2 on any
-other ``ValueError``.  The series truncation is decided here, once per run:
---trunc, else the RESCALING_TRUNC environment variable, else 16.  Families
-are exact, so it reaches only the expansion of frame centers and the
-iterate windows.  Either knob must be a positive integer, or the run ends
-with exit code 2.  A run that exhausts precision is retried
-with doubled truncation a few times before giving up.  A reader that closes
-stdout early gets no traceback, and the exit code stays the command's own.
+other ``ValueError``, a malformed command line among them.  Families and
+frames are exact, and the library settles series precision itself, so no
+option sets it.  A reader that closes stdout early gets no traceback, and
+the exit code stays the command's own.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from . import cpoly
 from .classify import (DichotomyReport, LimitClassification, PcfReport,
                        classify_limit, quadratic_dichotomy_report)
-from .config import PARSE_RETRY_MAX, default_truncation
-from .errors import PrecisionExhausted, RescalingError
+from .errors import RescalingError
 from .famparse import parse_family, parse_frame
 from .frames import (FrameClass, RescalingCycle, ScanResult, StepResult,
                      advance, cycle_limit_crosscheck, find_cycle,
@@ -128,13 +124,13 @@ def _emit(payload: Dict) -> None:
 Outcome = Tuple[Dict, int]
 
 
-def _cmd_reduce(args, trunc) -> Outcome:
+def _cmd_reduce(args) -> Outcome:
     fam = parse_family(args.family, args.subst)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     work = fam
     if args.frame is not None:
-        frame = parse_frame(args.frame, trunc)
+        frame = parse_frame(args.frame)
         work = precompose_affine(fam, frame)
         payload["frames"].append(
             {"h": str(frame.h), "center": str(frame.c)})
@@ -142,9 +138,9 @@ def _cmd_reduce(args, trunc) -> Outcome:
     return payload, 0
 
 
-def _cmd_advance(args, trunc) -> Outcome:
+def _cmd_advance(args) -> Outcome:
     fam = parse_family(args.family, args.subst)
-    frame = parse_frame(args.frame, trunc)
+    frame = parse_frame(args.frame)
     st = advance(fam, frame)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -153,9 +149,9 @@ def _cmd_advance(args, trunc) -> Outcome:
     return payload, 0
 
 
-def _cmd_orbit(args, trunc) -> Outcome:
+def _cmd_orbit(args) -> Outcome:
     fam = parse_family(args.family, args.subst)
-    seed = parse_frame(args.frame, trunc)
+    seed = parse_frame(args.frame)
     cycle = find_cycle(fam, seed, args.max_steps)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
@@ -166,12 +162,12 @@ def _cmd_orbit(args, trunc) -> Outcome:
         {"name": "limit_degree_product", "passed": True})
     code = 0
     if args.crosscheck:
-        ok = cycle_limit_crosscheck(fam, cycle, trunc)
+        ok = cycle_limit_crosscheck(fam, cycle)
         payload["assertions"].append(
             {"name": "cycle_limit_crosscheck", "passed": ok})
         code = code or (0 if ok else 2)
     if args.period_max:
-        rep = period_set_check(fam, seed, args.period_max, trunc)
+        rep = period_set_check(fam, seed, args.period_max)
         payload["period_set"] = {
             "degrees": {str(ell): dg for ell, dg in rep.degrees.items()},
             "law_holds": rep.law_holds,
@@ -183,7 +179,7 @@ def _cmd_orbit(args, trunc) -> Outcome:
     return payload, code
 
 
-def _scan_payload(args, trunc) -> Tuple[Dict, MapL, ScanResult]:
+def _scan_payload(args) -> Tuple[Dict, MapL, ScanResult]:
     fam = parse_family(args.family, args.subst)
     res = monomial_seed_scan(fam, args.max_denominator, args.max_steps)
     payload = _payload(args)
@@ -199,13 +195,13 @@ def _scan_payload(args, trunc) -> Tuple[Dict, MapL, ScanResult]:
     return payload, fam, res
 
 
-def _cmd_scan(args, trunc) -> Outcome:
-    return _scan_payload(args, trunc)[0], 0
+def _cmd_scan(args) -> Outcome:
+    return _scan_payload(args)[0], 0
 
 
-def _cmd_verify(args, trunc) -> Outcome:
+def _cmd_verify(args) -> Outcome:
     fam = parse_family(args.family, args.subst)
-    seed = parse_frame(args.frame, trunc)
+    seed = parse_frame(args.frame)
     cycle = find_cycle(fam, seed, args.max_steps)
     s_grid = tuple(float(s) for s in args.s_grid.split(","))
     report = verify_rescaling(fam, cycle, s_grid=s_grid, tol=args.tol,
@@ -222,8 +218,8 @@ def _cmd_verify(args, trunc) -> Outcome:
     return payload, 0 if report.ok else 2
 
 
-def _cmd_report(args, trunc) -> Outcome:
-    payload, fam, res = _scan_payload(args, trunc)
+def _cmd_report(args) -> Outcome:
+    payload, fam, res = _scan_payload(args)
     payload["classification"] = [
         _classification_dict(classify_limit(c.limit)) for c in res.cycles]
     if args.dichotomy:
@@ -232,8 +228,16 @@ def _cmd_report(args, trunc) -> Outcome:
     return payload, 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors raise ``ValueError``, so a malformed command
+    line ends in a JSON error; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="rescaling",
         description="Rescaling limits of one-parameter families of "
                     "rational maps.")
@@ -244,9 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="family in z and t, e.g. 'z^2 + t/z'")
         sp.add_argument("--subst", default=None, metavar="EXPR",
                         help="reparametrize t -> EXPR(t), e.g. 't/(1+t)'")
-        sp.add_argument("--trunc", type=int, default=None, metavar="N",
-                        help="series truncation order "
-                             "(default: RESCALING_TRUNC or 16)")
 
     sp = sub.add_parser("reduce", help="normalize and reduce in one frame")
     common(sp)
@@ -314,31 +315,17 @@ def _error_payload(exc: Exception) -> Dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        trunc = default_truncation(args.trunc)
+        args = _build_parser().parse_args(argv)
+        payload, code = args.fn(args)
+    except RescalingError as exc:
+        _emit(_error_payload(exc))
+        return exc.exit_code
     except ValueError as exc:
         _emit(_error_payload(exc))
         return 2
-    retries = 0
-    while True:
-        try:
-            payload, code = args.fn(args, trunc)
-        except PrecisionExhausted as exc:
-            if retries >= PARSE_RETRY_MAX:
-                _emit(_error_payload(exc))
-                return 3
-            retries += 1
-            trunc *= 2
-            continue
-        except RescalingError as exc:
-            _emit(_error_payload(exc))
-            return exc.exit_code
-        except ValueError as exc:
-            _emit(_error_payload(exc))
-            return 2
-        _emit(payload)
-        return code
+    _emit(payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -84,10 +84,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.x == 1 and not self.y and self.d == 1
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
-
     def inverse(self) -> GaussianRational:
         x, y, d = self.x, self.y, self.d
         n = x * x + y * y

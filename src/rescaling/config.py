@@ -1,21 +1,14 @@
 """Tunable defaults.
 
-Values here are calibration decisions, not mathematical content.  No
-library function reads the environment: every truncation or window
-argument defaults to ``DEFAULT_TRUNC``.  Only the command line front end
-calls :func:`default_truncation`, which lets ``RESCALING_TRUNC`` stand in
-for a missing ``--trunc``.
+Values here are calibration decisions, not mathematical content.  None is
+read from the environment or the command line: series precision is settled
+inside the library.
 """
 
 from __future__ import annotations
 
-import os
-from fractions import Fraction
-from typing import Optional
-
-ENV_TRUNC = "RESCALING_TRUNC"
-
-#: Series built from exact data are cut below this exponent by default.
+#: Infinite expansions are cut below this exponent by default, and iterates
+#: are first kept within this window above their least valuation.
 DEFAULT_TRUNC = 16
 
 #: Hard cap on deg(f)**n for iterate().
@@ -45,28 +38,7 @@ VERIFY_S_GRID = (1e-2, 1e-3, 1e-4)
 VERIFY_GRID_POINTS = 200
 VERIFY_HOLE_MARGIN = 0.1
 VERIFY_TOL = 1e-3
-VERIFY_TAIL_BOUND = 1e-15
 VERIFY_MAX_DROP = 0.10
 
-#: How many times parse-level retries double the truncation.
-PARSE_RETRY_MAX = 4
-
-
-def default_truncation(value: Optional[int] = None) -> Fraction:
-    """Default truncation exponent: ``value`` when given (the CLI's --trunc),
-    else RESCALING_TRUNC, else DEFAULT_TRUNC.  Either knob must be a
-    positive integer; a bad one raises ``ValueError``."""
-    knob = "--trunc"
-    if value is None:
-        raw = os.environ.get(ENV_TRUNC)
-        if raw is None:
-            return Fraction(DEFAULT_TRUNC)
-        knob = ENV_TRUNC
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{ENV_TRUNC} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{knob} must be positive, got {value}")
-    return Fraction(value)
+#: How many times an iterate check doubles its window before giving up.
+WINDOW_DOUBLINGS = 4

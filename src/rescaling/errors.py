@@ -25,8 +25,9 @@ class RescalingError(Exception):
 class PrecisionExhausted(RescalingError):
     """A computation needed series terms beyond the stored truncation.
 
-    Callers that own the family construction may retry with a doubled
-    truncation; ``cli.main`` does so up to ``config.PARSE_RETRY_MAX`` times.
+    Families and frames are exact, so only a truncated series built by a
+    caller, or an iterate window that stays too narrow after
+    ``config.WINDOW_DOUBLINGS`` doublings, ends here.
     """
 
 
@@ -53,16 +54,6 @@ class DegreeCapExceeded(RescalingError):
 
 class GridDegenerate(RescalingError):
     """Too few usable grid points remained after hole avoidance/overflow."""
-
-
-class RefuseToSample(RescalingError):
-    """Requested numeric sample point |t| too large for the truncation tail
-    bound to be negligible."""
-
-
-class ToleranceAmbiguous(RescalingError):
-    """A zero test contradicts the valuations an advance rests on, so the
-    order of its recentering cannot be certified."""
 
 
 class AssertionFailed(RescalingError):

@@ -26,9 +26,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import wraps
+from math import inf
 from typing import List, Optional, Tuple
 
-from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
+from .config import ITERATE_DEGREE_CAP
 from .errors import DegenerateFamily, ParseError
 from .coefficients import GaussianRational
 from . import cpoly
@@ -318,14 +319,30 @@ def parse_family(text: str, subst: Optional[str] = None) -> MapL:
 
 
 @_depth_checked
-def parse_frame(text: str, trunc=DEFAULT_TRUNC) -> AffineFrame:
+def parse_frame(text: str) -> AffineFrame:
     """Parse a frame "h" or "h, center": h a rational, center a series in t.
 
-    A center a(t)/b(t) whose b has more than one term is expanded mod
-    t^``trunc``.
+    The center is exact.  A center a(t)/b(t) whose b has more than one term
+    is an infinite series; it is replaced by c', the sum of its terms of
+    exponent <= h.
+
+    Claim: no reduction in the frame and no frame class changes.  Write c
+    for the whole quotient; then v(c - c') > h.  The frames
+    M(w) = c + t^h w and M'(w) = c' + t^h w satisfy M = M' o L, where
+    L(w) = w + e and e = (c - c') t^-h has v(e) > 0.  If f o M' = P/Q, the
+    w^j coefficient of P(w + e) is p_j plus terms of valuation at least
+    min_i v(p_i) + v(e), and so for Q: Gauss normalization shifts both by
+    the same power of t and leaves every residue as it was, so f o M
+    reduces as f o M' does.  On the outside, M^-1 = L^-1 o M'^-1, and
+    (P - eQ)/Q has the residues of P/Q for the same reason.  A class is
+    (h, center mod t^h), and c' agrees with c below t^h.  So the disk
+    D(c, |t|^h), a point of the Berkovich line, depends on c only up to
+    t^h.
 
     >>> parse_frame("2/5").h
     Fraction(2, 5)
+    >>> str(parse_frame("1, 1/(1-t)").c)
+    '1 + t'
     """
     head, _, rest = text.partition(",")
     head = head.strip()
@@ -335,5 +352,10 @@ def parse_frame(text: str, trunc=DEFAULT_TRUNC) -> AffineFrame:
         raise ParseError(f"bad zoom exponent {head!r}: {exc}") from None
     if not rest.strip():
         return AffineFrame(h, PuiseuxSeries.zero())
-    a, b = _t_quotient(_tokenize(rest), "frame center")
-    return AffineFrame(h, a if b == 1 else a * b.inverse(prec=trunc))
+    center, b = _t_quotient(_tokenize(rest), "frame center")
+    if b != 1 and not center.is_zero:
+        # a/b known mod t^(h+1): every term of exponent <= h is certified
+        quotient = center * b.inverse(prec=h + 1 - center.valuation())
+        center = PuiseuxSeries(
+            tuple((e, c) for e, c in quotient.terms if e <= h), inf)
+    return AffineFrame(h, center)

@@ -18,10 +18,9 @@ from math import inf
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, DEFAULT_TRUNC,
-                     RAMIFICATION_CAP)
+                     RAMIFICATION_CAP, WINDOW_DOUBLINGS)
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
-                     PrecisionExhausted, RamificationCapExceeded,
-                     ToleranceAmbiguous)
+                     PrecisionExhausted, RamificationCapExceeded)
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
                    compose_families, compose_reduced, conjugate,
                    gauss_normalize, iterate_family, precompose_affine,
@@ -149,13 +148,10 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
                 break
             gnum = cpoly.padd(work.num, cpoly.pscale(work.den, -c1))
             delta = block_min_val(gnum)
+            # gnum has no t^0 term and no negative exponent, so delta > 0
             if delta == inf:
                 raise DegenerateFamily(
                     "family is exactly an affine constant in this frame")
-            if delta <= 0:
-                raise ToleranceAmbiguous(
-                    "subtracting the constant residue did not raise the "
-                    "valuation; cannot certify the recentering order")
             work = MapL([c.shift(-delta) for c in gnum], work.den)
             u -= delta
             v = (v - c1).shift(-delta)
@@ -166,12 +162,8 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             if vn == inf or vd == inf:
                 raise DegenerateFamily(
                     "numerator or denominator identically zero")
+            # the block whose residue survives holds the t^0 term, so a != 0
             a = vd - vn
-            if a == 0:
-                raise ToleranceAmbiguous(
-                    "a residue block vanished although both blocks share "
-                    "their least valuation; cannot certify the rebalancing "
-                    "order")
             work = work.scaled_function(a)
             u += a
             v = v.shift(a)
@@ -386,18 +378,31 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
         f"no frame class repeated within {max_steps} advances from {fc}")
 
 
-def cycle_limit_crosscheck(fam: MapL, cycle: RescalingCycle,
-                           window=DEFAULT_TRUNC) -> bool:
+def _widening(check):
+    """``check(window)`` at the first of the windows DEFAULT_TRUNC * 2^k,
+    k = 0..WINDOW_DOUBLINGS, that keeps enough of the iterates; the last
+    window's :class:`PrecisionExhausted` is raised."""
+    window = DEFAULT_TRUNC
+    for _ in range(WINDOW_DOUBLINGS):
+        try:
+            return check(window)
+        except PrecisionExhausted:
+            window *= 2
+    return check(window)
+
+
+def cycle_limit_crosscheck(fam: MapL, cycle: RescalingCycle) -> bool:
     """Re-derive the cycle limit from the iterated family.
 
     Reduces M^-1 o f^q o M at the base frame and compares with the composed
     step limits.  Degree-capped: period-q checks need degree^q iterates.
     The conjugate is iterated rather than the iterate conjugated (the same
-    map): precision is spent once and the iterate stays within ``window``.
+    map): precision is spent once, and the iterate is kept within a window
+    that widens until it suffices.
     """
     g = conjugate(fam, cycle.base.frame())
-    it = iterate_family(g, cycle.period, window)
-    return reduce_family(it) == cycle.limit
+    return _widening(lambda window: reduce_family(
+        iterate_family(g, cycle.period, window)) == cycle.limit)
 
 
 class PeriodSetReport(NamedTuple):
@@ -409,24 +414,28 @@ class PeriodSetReport(NamedTuple):
 
 
 def period_set_check(fam: MapL, frame: Union[AffineFrame, FrameClass],
-                     ell_max: int,
-                     window=DEFAULT_TRUNC) -> PeriodSetReport:
+                     ell_max: int) -> PeriodSetReport:
     """Degrees of the reduced conjugates of f^ell, and the divisibility law.
 
     The set {ell : degree >= 2} must be empty or exactly the multiples of
-    its least element within range.  Iterates are kept within ``window``.
-    ``ell_max`` must be at least 1.
+    its least element within range.  Iterates are kept within a window
+    that widens until it suffices.  ``ell_max`` must be at least 1.
     """
     if ell_max < 1:
         raise ValueError(f"period range must be >= 1, got {ell_max}")
     fc = canonicalize(frame)
     g = conjugate(fam, fc.frame())
-    degrees: Dict[int, int] = {}
-    it = g
-    for ell in range(1, ell_max + 1):
-        degrees[ell] = reduce_family(it).degree
-        if ell < ell_max:
-            it = compose_families(g, it, window)
+
+    def degrees_within(window) -> Dict[int, int]:
+        degrees: Dict[int, int] = {}
+        it = g
+        for ell in range(1, ell_max + 1):
+            degrees[ell] = reduce_family(it).degree
+            if ell < ell_max:
+                it = compose_families(g, it, window)
+        return degrees
+
+    degrees = _widening(degrees_within)
     heavy = sorted(ell for ell, dg in degrees.items() if dg >= 2)
     if not heavy:
         return PeriodSetReport(degrees, True, None)
@@ -497,7 +506,7 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
                 out.failed[h] = f"{type(exc).__name__}: {exc}"
             continue
         except (PrecisionExhausted, RamificationCapExceeded,
-                DegenerateFamily, ToleranceAmbiguous) as exc:
+                DegenerateFamily) as exc:
             out.failed[h] = f"{type(exc).__name__}: {exc}"
             continue
         if not _is_new(cycle):

@@ -217,23 +217,23 @@ class PuiseuxSeries:
     def inverse(self, prec: Exponent = None) -> PuiseuxSeries:
         """Multiplicative inverse, truncated as documented in the module header.
 
-        ``prec`` optionally tightens the truncation of the result.
+        ``prec`` cuts the result at t^prec: anywhere in the infinite
+        expansion of an exact series, and only tighter than the known
+        truncation otherwise.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero series")
         e, c = self.leading()  # raises PrecisionExhausted when undecidable
         tail = self.terms[1:]
-        if not tail:
-            if self.trunc == inf:
-                out = PuiseuxSeries.t_power(-e, c.inverse())
-                return out if prec is None else out.cap(prec)
-            trunc = self.trunc - 2 * e
-        elif self.trunc == inf:
-            trunc = DEFAULT_TRUNC
+        if not tail and self.trunc == inf:
+            out = PuiseuxSeries.t_power(-e, c.inverse())
+            return out if prec is None else out.cap(prec)
+        if self.trunc == inf:
+            trunc = DEFAULT_TRUNC if prec is None else prec
         else:
             trunc = self.trunc - 2 * e
-        if prec is not None:
-            trunc = min(trunc, prec)
+            if prec is not None:
+                trunc = min(trunc, prec)
         # u = self / (c t^e) - 1 has positive valuation; sum the geometric
         # series for 1/(1+u) to relative order trunc + e.
         rel = trunc + e

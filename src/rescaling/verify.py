@@ -24,8 +24,8 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from . import cpoly
 from .config import (VERIFY_GRID_POINTS, VERIFY_HOLE_MARGIN, VERIFY_MAX_DROP,
-                     VERIFY_S_GRID, VERIFY_TAIL_BOUND, VERIFY_TOL)
-from .errors import GridDegenerate, RefuseToSample
+                     VERIFY_S_GRID, VERIFY_TOL)
+from .errors import GridDegenerate
 from .frames import RescalingCycle
 from .maps import MapL, ReducedMap, compose_reduced
 from .puiseux import PuiseuxSeries
@@ -101,13 +101,6 @@ def _eval_at_s(series: PuiseuxSeries, sval, ram: int, to_num: Callable):
     for e, c in series.terms:
         total += to_num(c) * sval ** _resolved(e, ram)
     return total
-
-
-def _tail_gap_ok(series: PuiseuxSeries, s_mag: float, ram: int) -> bool:
-    if series.trunc == float("inf"):
-        return True
-    gap = series.trunc - series.val_lower()
-    return s_mag ** (ram * float(gap)) < VERIFY_TAIL_BOUND
 
 
 def _hom_apply(num_vals: Sequence, den_vals: Sequence, p: Hom,
@@ -200,8 +193,11 @@ def verify_rescaling(fam: MapL, cycle: RescalingCycle,
     tolerance and the shifted control map is rejected at the same tolerance.
     ``ray`` rotates the sampling direction: s runs along ray * |s|.
     ``grid_points`` must be at least 1, and every entry of ``s_grid``, a
-    magnitude |s|, positive and finite.
+    magnitude |s|, positive and finite.  The family must be exact: a
+    truncated series has no value at a sample point.
     """
+    if not all(c.is_exact for c in fam.coeffs()):
+        raise ValueError("verification of a family with inexact coefficients")
     if grid_points < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_points}")
     if not all(s > 0 and isfinite(s) for s in s_grid):
@@ -210,14 +206,6 @@ def verify_rescaling(fam: MapL, cycle: RescalingCycle,
     limit = cycle.limit
     ram = _ramification(fam, cycle)
     s_grid = sorted(s_grid, reverse=True)
-    for s_mag in s_grid:
-        bad = [c for c in list(fam.coeffs()) + [cycle.base.c]
-               if not _tail_gap_ok(c, s_mag, ram)]
-        if bad:
-            raise RefuseToSample(
-                f"series tail not negligible at s={s_mag} "
-                f"(truncation gap {bad[0].trunc - bad[0].val_lower()})")
-
     grid = sphere_grid(grid_points)
     included = _exclude_hole_pullbacks(cycle, grid)
     if len(included) < (1.0 - VERIFY_MAX_DROP) * len(grid):

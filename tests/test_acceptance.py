@@ -11,10 +11,11 @@ from fractions import Fraction
 from hypothesis import settings
 
 from rescaling import (advance, classify_limit, conjugate,
-                       cycle_limit_crosscheck, default_truncation, find_cycle,
+                       cycle_limit_crosscheck, find_cycle,
                        iterate_family, parse_frame, period_set_check,
                        quadratic_dichotomy_report, reduce_family,
                        verify_rescaling)
+from rescaling.config import DEFAULT_TRUNC
 from . import conftest
 from .support import cycle, family, reduced, scan
 
@@ -39,9 +40,8 @@ def test_criterion_1_cubic_seed_fixtures():
     # h -> 2h - 3 with fixed point 3: the limit is z^2 at h = 3 and the
     # constant infinity at h = 2, whose orbit escapes (see test_frames).
     cubic = family("cubic")
-    window = default_truncation()
     third = {h: reduce_family(iterate_family(
-                 conjugate(cubic, parse_frame(h)), 3, window=window))
+                 conjugate(cubic, parse_frame(h)), 3, window=DEFAULT_TRUNC))
              for h in ("2", "3")}
     ok_iterates = third["3"] == reduced("z^2") and third["2"].degree < 1
     t0 = time.monotonic()

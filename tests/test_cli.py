@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import inf
 from pathlib import Path
 
 import pytest
@@ -141,8 +140,8 @@ def test_s_grid_order_does_not_matter(capsys):
 EXIT_CODES = {
     "PrecisionExhausted": 3, "DegenerateFamily": 3,
     "AdvanceNotTerminating": 3, "RamificationCapExceeded": 3,
-    "DegreeCapExceeded": 3, "GridDegenerate": 3, "RefuseToSample": 3,
-    "ToleranceAmbiguous": 3, "AssertionFailed": 2, "ParseError": 2,
+    "DegreeCapExceeded": 3, "GridDegenerate": 3, "AssertionFailed": 2,
+    "ParseError": 2,
 }
 
 
@@ -418,31 +417,52 @@ def test_report_loads_no_sympy(family):
     assert out.split() == ["0", "[]"]
 
 
-def test_trunc_flag(capsys):
-    # a family is exact; --trunc cuts the expansion of a frame center
-    code, doc = run(capsys, "reduce", "z^2", "--frame", "0, 1/(1-t)",
-                    "--trunc", "8")
+def test_frame_center_keeps_its_terms_up_to_h(capsys):
+    # 1/(1-t) has infinitely many terms; in a frame of zoom 0 only 1 counts
+    code, doc = run(capsys, "reduce", "z^2", "--frame", "0, 1/(1-t)")
     assert code == 0
-    assert doc["frames"][0]["center"] \
-        == "1 + t + t^2 + t^3 + t^4 + t^5 + t^6 + t^7 + O(t^8)"
+    assert doc["frames"][0]["center"] == "1"
     assert doc["reduced"]["map"] == "z^2 + 2*z + 1"
 
 
-@pytest.mark.parametrize("env, argv, knob", [
-    ("0", (), "RESCALING_TRUNC"),
-    ("abc", (), "RESCALING_TRUNC"),
-    (None, ("--trunc", "0"), "--trunc"),
-    (None, ("--trunc", "-5"), "--trunc"),
-], ids=["env_zero", "env_text", "flag_zero", "flag_negative"])
-def test_bad_truncation_knob_exits_2(capsys, monkeypatch, env, argv, knob):
-    if env is None:
-        monkeypatch.delenv("RESCALING_TRUNC", raising=False)
-    else:
-        monkeypatch.setenv("RESCALING_TRUNC", env)
-    code, doc = run(capsys, "reduce", "z^2+t", *argv)
+DEEP = "(z*(1-t) - 1)/(t^20*(1-t))"
+
+
+def test_reduce_in_a_frame_deeper_than_the_default_truncation(capsys):
+    code, doc = run(capsys, "reduce", DEEP, "--frame", "20, 1/(1-t)")
+    assert code == 0
+    assert doc["reduced"]["map"] == "z"
+
+
+def test_advance_from_a_frame_deeper_than_the_default_truncation(capsys):
+    code, doc = run(capsys, "advance", DEEP, "--frame", "20, 1/(1-t)")
+    assert code == 0
+    assert doc["step"]["target"] == {"h": "0", "center": "0"}
+    assert doc["step"]["limit"]["map"] == "z - 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "z", "--trunc", "8"),
+    ("reduce", "z", "--bogus"),
+    ("verify", QUAD0, "--frame", "1", "--points", "abc"),
+], ids=["removed_flag", "unknown_flag", "bad_points"])
+def test_bad_argument_exits_2(capsys, argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
     assert code == 2
-    assert doc["error"]["type"] == "ValueError"
-    assert doc["error"]["message"].startswith(knob)
+    assert json.loads(out)["error"]["type"] == "ValueError"
+    assert err == ""
+
+
+@pytest.mark.parametrize("sub", ["reduce", "advance", "orbit", "scan",
+                                 "verify", "report"])
+def test_help_prints_usage_and_exits_0(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: rescaling {sub}")
+    assert "--trunc" not in out
 
 
 def _spy_windows(monkeypatch):
@@ -464,70 +484,29 @@ ITERATE_CHECKS = [("--crosscheck",), ("--period-max", "3")]
 
 @pytest.mark.parametrize("argv", ITERATE_CHECKS,
                          ids=["crosscheck", "period_set"])
-def test_trunc_flag_wins_over_bad_env_in_iterate_checks(capsys, monkeypatch,
-                                                         argv):
-    monkeypatch.setenv("RESCALING_TRUNC", "abc")
-    code, doc = run(capsys, "orbit", QUAD0, "--frame", "1", *argv,
-                    "--trunc", "16")
-    assert code == 0
-    assert len(doc["assertions"]) == 2
-    assert all(a["passed"] for a in doc["assertions"])
-
-
-@pytest.mark.parametrize("argv", ITERATE_CHECKS,
-                         ids=["crosscheck", "period_set"])
 def test_trunc_flag_sets_the_iterate_window(capsys, monkeypatch, argv):
-    monkeypatch.setenv("RESCALING_TRUNC", "40")
     windows = _spy_windows(monkeypatch)
-    code, _ = run(capsys, "orbit", QUAD0, "--frame", "1", *argv,
-                  "--trunc", "20")
+    code, _ = run(capsys, "orbit", QUAD0, "--frame", "1", *argv)
     assert code == 0
-    assert windows and set(windows) == {Fraction(20)}
+    assert windows and set(windows) == {16}
 
 
 def test_precision_retry_widens_the_iterate_window(capsys, monkeypatch):
-    # at --trunc 2 the cubic's period-3 iterate runs out of precision; each
-    # retry doubles the truncation, and the window with it
-    monkeypatch.delenv("RESCALING_TRUNC", raising=False)
+    # from a window of 2 the cubic's period-3 iterate runs out of precision;
+    # the crosscheck doubles its window until the iterate fits
+    monkeypatch.setattr(frames_mod, "DEFAULT_TRUNC", 2)
     windows = _spy_windows(monkeypatch)
-    code, doc = run(capsys, "orbit", CUBIC, "--frame", "3", "--crosscheck",
-                    "--trunc", "2")
+    code, doc = run(capsys, "orbit", CUBIC, "--frame", "3", "--crosscheck")
     assert code == 0 and doc["cycles"][0]["period"] == 3
     assert windows[0] == 2 and windows[-1] > 2
     assert windows == sorted(windows)
     assert set(windows) <= {Fraction(2 ** k) for k in range(1, 6)}
 
 
-@pytest.mark.parametrize("env", ["abc", "3"])
-def test_library_ignores_truncation_env(monkeypatch, env):
-    monkeypatch.delenv("RESCALING_TRUNC", raising=False)
-
-    def observe():
-        fam = rescaling.parse_family(QUAD0)
-        center = rescaling.parse_frame("1, 1/(1-t)").c
-        inv = rescaling.PuiseuxSeries.build([(0, 1), (1, -1)], inf).inverse()
-        cyc = rescaling.find_cycle(fam, rescaling.parse_frame("1"))
-        return ([(c.terms, c.trunc) for c in fam.coeffs()],
-                (center.terms, center.trunc), (inv.terms, inv.trunc),
-                rescaling.cycle_limit_crosscheck(fam, cyc))
-
-    unset = observe()
-    assert unset[1][1] == unset[2][1] == 16 and unset[3]
-    monkeypatch.setenv("RESCALING_TRUNC", env)
-    assert observe() == unset
-
-
-@pytest.mark.parametrize("argv", [
-    ("reduce", "z^2", "--frame", "0, 1/(1-t)"),
-    ("reduce", "z^2 + 1/(1-t)", "--frame", "1, 1/(1-t)"),
-], ids=["plain", "framed"])
-def test_cli_takes_truncation_from_env(capsys, monkeypatch, argv):
-    monkeypatch.delenv("RESCALING_TRUNC", raising=False)
-    flag = run(capsys, *argv, "--trunc", "8")
-    monkeypatch.setenv("RESCALING_TRUNC", "8")
-    assert run(capsys, *argv) == flag
-    assert flag[0] == 0 and flag[1]["frames"]
-    assert all(fr["center"].endswith("O(t^8)") for fr in flag[1]["frames"])
+def test_no_module_reads_the_environment():
+    package = Path(rescaling.__file__).resolve().parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "os.environ" in p.read_text()] == []
 
 
 def test_float_quad0_passes_its_crosscheck(capsys):

@@ -11,10 +11,11 @@ import rescaling.frames as frames_mod
 from rescaling import (AdvanceNotTerminating, AffineFrame, PrecisionExhausted,
                        PuiseuxSeries, RamificationCapExceeded, RescalingError,
                        ScanResult, advance, canonicalize, compose_reduced,
-                       cycle_limit_crosscheck, equivalent_via_reduction,
-                       escape_bound, find_cycle, frame_size,
-                       monomial_seed_scan, parse_family, parse_frame,
-                       period_set_check)
+                       conjugate, cycle_limit_crosscheck,
+                       equivalent_via_reduction, escape_bound, find_cycle,
+                       frame_size, monomial_seed_scan, parse_family,
+                       parse_frame, period_set_check, precompose_affine,
+                       reduce_family)
 from .support import MCMULLEN, QUAD0, cycle, family, reduced, scan
 
 t_pow = PuiseuxSeries.t_power
@@ -50,6 +51,21 @@ def test_frame_class_equality():
     b = canonicalize(frame(1, PuiseuxSeries.build([(0, 2), (5, 9)], inf)))
     assert a == b and hash(a) == hash(b)
     assert a != canonicalize(frame(2, PuiseuxSeries.constant(2)))
+
+
+@pytest.mark.parametrize("key, text", [
+    ("quad0", "1, 1/(1-t)"), ("mcm", "1/3, t^(1/3)/(1-t)"),
+    ("lattes", "2/5, 1/(1+t)"),
+], ids=["quad0", "mcm", "lattes"])
+def test_center_terms_above_h_change_no_reduction(key, text):
+    # parse_frame keeps the center's terms up to t^h; a generic term above
+    # it changes neither the reductions in the frame nor the class
+    fam, cut = family(key), parse_frame(text)
+    longer = AffineFrame(cut.h, cut.c + t_pow(cut.h + Fraction(1, 2), 3))
+    for in_frame in (precompose_affine, conjugate):
+        assert reduce_family(in_frame(fam, cut)) \
+            == reduce_family(in_frame(fam, longer))
+    assert canonicalize(cut) == canonicalize(longer)
 
 
 # -- one advance step --------------------------------------------------------
@@ -224,6 +240,19 @@ def test_period_set_quadratic_deep_frame():
     assert rep.degrees == {1: 0, 2: 0, 3: 2, 4: 0, 5: 0, 6: 4}
     assert rep.law_holds
     assert rep.period == 3
+
+
+def test_iterate_window_widens_then_gives_up(monkeypatch):
+    windows = []
+
+    def too_narrow(outer, inner, window):
+        windows.append(window)
+        raise PrecisionExhausted("window too narrow")
+
+    monkeypatch.setattr(frames_mod, "compose_families", too_narrow)
+    with pytest.raises(PrecisionExhausted):
+        period_set_check(family("quad0"), parse_frame("1"), 2)
+    assert windows == [16, 32, 64, 128, 256]
 
 
 # -- scans -------------------------------------------------------------------

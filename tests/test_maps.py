@@ -14,7 +14,7 @@ from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
                        gauss_normalize, iterate_family, maps, parse_family,
                        parse_frame, precompose_affine, reduce_family,
                        resultant_series, resultant_valuation)
-from rescaling.config import default_truncation
+from rescaling.config import DEFAULT_TRUNC
 from rescaling.maps import resultant_vanishes, smul
 from .support import family, reduced
 
@@ -162,7 +162,7 @@ def test_smul_kernel_matches_loop_on_quad0_iterates(monkeypatch):
         g = conjugate(family("quad0"), parse_frame("1"))
         out = [g]
         for _ in range(4):
-            out.append(compose_families(g, out[-1], default_truncation()))
+            out.append(compose_families(g, out[-1], DEFAULT_TRUNC))
         return out
 
     fast = iterates()

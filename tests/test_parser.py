@@ -130,6 +130,13 @@ def test_parse_frame_forms():
     assert fr.h == Fraction(1, 2) and str(fr.c) == "t"
     fr = parse_frame("-3, 1 + t^2")
     assert fr.h == -3 and str(fr.c) == "1 + t^2"
+    # a center with a many-term denominator is cut to exponents <= h
+    assert str(parse_frame("0, 1/(1-t)").c) == "1"
+    deep = parse_frame("20, 1/(1-t)").c
+    assert deep.is_exact and [e for e, _ in deep.terms] == list(range(21))
+    assert str(parse_frame("1/2, t^(1/3)/(1+t^(1/2))").c) == "t^(1/3)"
+    assert parse_frame("1, 1/(1-t) - 1/(1-t)").c.is_zero
+    assert str(parse_frame("1, 1/t").c) == "t^-1"
 
 
 def test_parse_frame_errors():

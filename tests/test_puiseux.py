@@ -75,6 +75,15 @@ def test_geometric_inverse():
     assert inv == series((0, 1), (1, 1), (2, 1), trunc=3)
 
 
+def test_exact_inverse_takes_a_prec_above_the_default():
+    inv = series((0, 1), (1, -1)).inverse(prec=20)
+    assert inv == series(*[(k, 1) for k in range(20)], trunc=20)
+
+
+def test_inverse_prec_cannot_exceed_what_is_known():
+    assert series((0, 1), (1, -1), trunc=3).inverse(prec=20).trunc == 3
+
+
 def test_inverse_keeps_leading_shift():
     # 1 / (t + t^2) = t^-1 - 1 + t - ...
     inv = series((1, 1), (2, 1)).inverse(prec=2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rescaling import (MapL, ReducedMap, RefuseToSample, chordal_distance,
+from rescaling import (MapL, ReducedMap, chordal_distance,
                        cpoly, verify_rescaling, sphere_grid)
 from rescaling.verify import chordal_hom
 from .support import cycle, family, reduced
@@ -72,7 +72,7 @@ def test_verify_refuses_coarse_truncation():
     # tails could hide O(t) contributions bigger than the tolerance
     fam = family("quad0")
     coarse = MapL([c.cap(1) for c in fam.num], [c.cap(1) for c in fam.den])
-    with pytest.raises(RefuseToSample):
+    with pytest.raises(ValueError):
         verify_rescaling(coarse, cycle("quad0", "1"))
 
 
