@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -442,15 +443,28 @@ def test_advance_from_a_frame_deeper_than_the_default_truncation(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("reduce", "z", "--trunc", "8"),
     ("reduce", "z", "--bogus"),
     ("verify", QUAD0, "--frame", "1", "--points", "abc"),
-], ids=["removed_flag", "unknown_flag", "bad_points"])
+], ids=["unknown_flag", "bad_points"])
 def test_bad_argument_exits_2(capsys, argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [("--trunc", "0"), ("--trunc", "-5")],
+                         ids=["flag_zero", "flag_negative"])
+def test_bad_truncation_knob_exits_2(capsys, argv):
+    # --trunc is no longer an option: any use of it is an unknown argument
+    code = cli.main(["reduce", "z^2+t", *argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"] \
+        == "unrecognized arguments: " + " ".join(argv)
     assert err == ""
 
 
@@ -484,6 +498,19 @@ ITERATE_CHECKS = [("--crosscheck",), ("--period-max", "3")]
 
 @pytest.mark.parametrize("argv", ITERATE_CHECKS,
                          ids=["crosscheck", "period_set"])
+def test_trunc_flag_wins_over_bad_env_in_iterate_checks(capsys, monkeypatch,
+                                                         argv):
+    # the flag is gone and RESCALING_TRUNC is not read: a bad value of it
+    # leaves the iterate checks passing at their own window
+    monkeypatch.setenv("RESCALING_TRUNC", "abc")
+    code, doc = run(capsys, "orbit", QUAD0, "--frame", "1", *argv)
+    assert code == 0
+    assert len(doc["assertions"]) == 2
+    assert all(a["passed"] for a in doc["assertions"])
+
+
+@pytest.mark.parametrize("argv", ITERATE_CHECKS,
+                         ids=["crosscheck", "period_set"])
 def test_trunc_flag_sets_the_iterate_window(capsys, monkeypatch, argv):
     windows = _spy_windows(monkeypatch)
     code, _ = run(capsys, "orbit", QUAD0, "--frame", "1", *argv)
@@ -501,6 +528,27 @@ def test_precision_retry_widens_the_iterate_window(capsys, monkeypatch):
     assert windows[0] == 2 and windows[-1] > 2
     assert windows == sorted(windows)
     assert set(windows) <= {Fraction(2 ** k) for k in range(1, 6)}
+
+
+@pytest.mark.parametrize("env", ["abc", "3"])
+def test_library_ignores_truncation_env(monkeypatch, env):
+    monkeypatch.delenv("RESCALING_TRUNC", raising=False)
+
+    def observe():
+        fam = rescaling.parse_family(QUAD0)
+        center = rescaling.parse_frame("1, 1/(1-t)").c
+        inv = rescaling.PuiseuxSeries.build([(0, 1), (1, -1)], inf).inverse()
+        cyc = rescaling.find_cycle(fam, rescaling.parse_frame("1"))
+        return ([(c.terms, c.trunc) for c in fam.coeffs()],
+                (center.terms, center.trunc), (inv.terms, inv.trunc),
+                rescaling.cycle_limit_crosscheck(fam, cyc))
+
+    unset = observe()
+    # the center keeps its exact terms up to t^1; the inverse its default
+    assert unset[1] == (((0, 1), (1, 1)), inf)
+    assert unset[2][1] == 16 and unset[3]
+    monkeypatch.setenv("RESCALING_TRUNC", env)
+    assert observe() == unset
 
 
 def test_no_module_reads_the_environment():
