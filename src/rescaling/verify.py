@@ -16,13 +16,12 @@ comparison, otherwise the tolerance was meaningless.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
-from math import ceil, cos, isfinite, lcm, log10, pi, sin, sqrt
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from math import ceil, cos, isfinite, isqrt, lcm, log2, log10, pi, sin, sqrt
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cpoly
+from .coefficients import GaussianRational
 from .config import (VERIFY_GRID_POINTS, VERIFY_HOLE_MARGIN, VERIFY_MAX_DROP,
                      VERIFY_S_GRID, VERIFY_TOL)
 from .errors import GridDegenerate
@@ -81,58 +80,56 @@ def _resolved(e: Fraction, ram: int) -> int:
     return int(n)
 
 
-def _coeff_complex(c) -> complex:
-    return c.to_complex()
-
-
-def _coeff_mpc(c):
-    """A Gaussian rational as an mpc at the working precision.
-
-    mpf takes no Fraction, so each part enters as numerator / denominator.
-    """
-    import mpmath
-    parts = (c.re.as_integer_ratio(), c.im.as_integer_ratio())
-    return mpmath.mpc(*(mpmath.mpf(n) / d for n, d in parts))
-
-
-def _eval_at_s(series: PuiseuxSeries, sval, ram: int, to_num: Callable):
-    """The series at t = sval^ram, its coefficients converted by ``to_num``."""
+def _eval_at_s(series: PuiseuxSeries, sval: complex, ram: int) -> complex:
+    """The series at t = sval^ram, in Python complex."""
     total = 0j
     for e, c in series.terms:
-        total += to_num(c) * sval ** _resolved(e, ram)
+        total += c.to_complex() * sval ** _resolved(e, ram)
     return total
 
 
-def _hom_apply(num_vals: Sequence, den_vals: Sequence, p: Hom,
-               one) -> Optional[Hom]:
-    """The homogeneous map at p, rescaled so its larger coordinate is 1.
+def _hom_orbits(num_vals: Sequence[complex], den_vals: Sequence[complex],
+                starts: Sequence[Hom], steps: int) -> List[Optional[Hom]]:
+    """Each start after ``steps`` applications of the homogeneous map.
 
-    ``one`` is 1 in the field of the orbit, so mpmath orbits meet no Python
-    complex constant; each term is (a_i * z^i) * w^(d-i), summed upward.
+    Every image is rescaled so its larger coordinate is 1; an orbit that
+    degenerates ends in None.  Each term is (a_i * z^i) * w^(d-i), summed
+    upward.
     """
-    z, w = p
-    w_pows = [one]
-    for _ in num_vals[1:]:
-        w_pows.append(w_pows[-1] * w)
-    new_z = new_w = 0
-    zn = one
-    for a, b, wn in zip(num_vals, den_vals, reversed(w_pows)):
-        new_z += a * zn * wn
-        new_w += b * zn * wn
-        zn *= z
-    m = max(abs(new_z), abs(new_w))
-    if m == 0.0 or not isfinite(m):
-        return None
-    return (new_z / m, new_w / m)
+    one = 1.0 + 0j
+    d = len(num_vals) - 1
+    # each coefficient a_i, b_i with the power of w it takes, d - i
+    coeffs = list(zip(num_vals, den_vals, range(d, -1, -1)))
+    rise = range(d)
+    out: List[Optional[Hom]] = []
+    for z, w in starts:
+        for _ in range(steps):
+            w_pows = [one]
+            for _ in rise:
+                w_pows.append(w_pows[-1] * w)
+            new_z = new_w = 0
+            zn = one
+            for a, b, k in coeffs:
+                wn = w_pows[k]
+                new_z += a * zn * wn
+                new_w += b * zn * wn
+                zn *= z
+            m = max(abs(new_z), abs(new_w))
+            if m == 0.0 or not isfinite(m):
+                out.append(None)
+                break
+            z, w = new_z / m, new_w / m
+        else:
+            out.append((z, w))
+    return out
 
 
 def _images(g: ReducedMap, points: Sequence[complex]) -> List[Optional[Hom]]:
-    """Each point's image under g, normalized as in :func:`_hom_apply`."""
+    """Each point's image under g, normalized as in :func:`_hom_orbits`."""
     d = max(cpoly.degree(g.num), cpoly.degree(g.den), 0)
     num = [c.to_complex() for c in g.num] + [0j] * (d + 1 - len(g.num))
     den = [c.to_complex() for c in g.den] + [0j] * (d + 1 - len(g.den))
-    one = 1.0 + 0j
-    return [_hom_apply(num, den, (w, one), one) for w in points]
+    return _hom_orbits(num, den, [(w, 1.0 + 0j) for w in points], 1)
 
 
 def _step_holes(step_limit: ReducedMap) -> List[object]:
@@ -308,6 +305,17 @@ def _cancellation_digits(cycle: RescalingCycle, s_mag: float,
     return float(hmax - min(vals)) * ram * -log10(s_mag)
 
 
+def _scale_digits(cycle: RescalingCycle, s_mag: float, ram: int) -> float:
+    """Decimal digits an int orbit's shared exponent loses at a frame.
+
+    The figure is the largest e = max(|h|, h - 2 v(c)) over the cycle's
+    frames, times -log10|t|; see :func:`_int_orbits`.
+    """
+    e = max(max(abs(fr.h), fr.h - 2 * fr.c.valuation()) if fr.c.terms
+            else abs(fr.h) for fr in cycle.frames)
+    return float(e) * ram * -log10(s_mag)
+
+
 def _max_error(fam: MapL, cycle: RescalingCycle,
                targets: Sequence[Sequence[Optional[Hom]]],
                points: Sequence[complex], sval: complex,
@@ -316,44 +324,155 @@ def _max_error(fam: MapL, cycle: RescalingCycle,
 
     ``targets`` holds, per target map, its image of each point (None where
     degenerate).  A point counts as dropped when its orbit degenerates or
-    the first target's image does; later targets only skip it.  The orbit
-    runs in Python complex while the frame's cancellation stays within 9
-    digits, and otherwise in mpmath complex numbers carrying 20 digits more
-    than it cancels; only the final comparison is in floats.
+    the first target's image does; later targets only skip it.  The orbits
+    run in Python complex when nothing cancels (every frame center is 0,
+    or |s| >= 1), and otherwise on Python ints (:func:`_int_orbits`) with
+    20 digits beyond the larger of the cancellation and the frames' scale;
+    only the final comparison is in floats.
     """
-    digits = _cancellation_digits(cycle, abs(sval), ram)
-    if digits <= 9.0:
-        ctx, to_num, s, one = nullcontext(), _coeff_complex, sval, 1.0 + 0j
+    s_mag = abs(sval)
+    digits = _cancellation_digits(cycle, s_mag, ram)
+    if digits > 0:
+        digits = max(digits, _scale_digits(cycle, s_mag, ram)) + 20
+        images = _int_orbits(fam, cycle, points, sval, ram, digits)
     else:
-        import mpmath
-        ctx = mpmath.workdps(ceil(digits) + 20)
-        to_num, s, one = _coeff_mpc, mpmath.mpc(sval), mpmath.mpc(1)
+        num_vals = [_eval_at_s(c, sval, ram) for c in fam.num]
+        den_vals = [_eval_at_s(c, sval, ram) for c in fam.den]
+        th = sval ** _resolved(cycle.base.h, ram)
+        cval = _eval_at_s(cycle.base.c, sval, ram)
+        starts = [(cval + th * w, 1.0 + 0j) for w in points]
+        images = []
+        for p in _hom_orbits(num_vals, den_vals, starts, cycle.period):
+            if p is not None:
+                p = (p[0] - cval * p[1], th * p[1])
+                m = max(abs(p[0]), abs(p[1]))
+                p = (p[0] / m, p[1] / m) if m and isfinite(m) else None
+            images.append(p)
     worst = [0.0] * len(targets)
     dropped = 0
-    with ctx:
-        num_vals = [_eval_at_s(c, s, ram, to_num) for c in fam.num]
-        den_vals = [_eval_at_s(c, s, ram, to_num) for c in fam.den]
-        th = s ** _resolved(cycle.base.h, ram)
-        cval = _eval_at_s(cycle.base.c, s, ram, to_num)
-        for j, w in enumerate(points):
-            p: Optional[Hom] = (cval + th * w, one)
-            for _ in range(cycle.period):
-                p = _hom_apply(num_vals, den_vals, p, one)
-                if p is None:
-                    break
-            if p is None:
+    for j, p in enumerate(images):
+        if p is None:
+            dropped += 1
+            continue
+        for k, imgs in enumerate(targets):
+            q = imgs[j]
+            if q is not None:
+                worst[k] = max(worst[k], chordal_hom(p, q))
+            elif k == 0:
                 dropped += 1
-                continue
-            p = (p[0] - cval * p[1], th * p[1])
-            m = max(abs(p[0]), abs(p[1]))
-            if m == 0.0 or not isfinite(m):
-                dropped += 1
-                continue
-            p = (complex(p[0] / m), complex(p[1] / m))
-            for k, imgs in enumerate(targets):
-                q = imgs[j]
-                if q is not None:
-                    worst[k] = max(worst[k], chordal_hom(p, q))
-                elif k == 0:
-                    dropped += 1
     return worst, dropped
+
+
+def _int_orbits(fam: MapL, cycle: RescalingCycle, points: Sequence[complex],
+                sval: complex, ram: int,
+                digits: float) -> List[Optional[Hom]]:
+    """Each point's rescaled return-map image, from an orbit on Python ints.
+
+    s is a complex double, so an exact dyadic number: the coefficients of
+    P and Q at s, the base center c and t^h are exact Gaussian rationals,
+    and one common denominator makes the coefficients Gaussian integers
+    (scaling P and Q together leaves the map alone).  The pair (Z, W) of
+    z = c + t^h w steps exactly in Z[i]^2.  At the start and after each
+    step the four ints are shifted right by one shared amount, so the
+    largest keeps p = ceil(digits * log2(10)) bits.  At the end the pair
+    (Z - c W, t^h W) is formed exactly and rounded to doubles once.
+
+    Lemma.  Let |t| = |s|^ram < 1 (nothing cancels otherwise, so this
+    branch does not run), and let frame j of the cycle have zoom
+    exponent h_j and center c_j = sum a_e t^e of valuation v_j (v_j = inf
+    when c_j = 0), with C_j = max(1, sum |a_e|) and
+    e_j = max(|h_j|, h_j - 2 v_j).  A shift moves the orbit's coordinate
+    in frame j by less than 3 C_j^2 |t|^-e_j 2^(3-p) in the chordal metric.
+
+    Proof.  A shift lowers each part by less than one unit while the
+    largest keeps at least 2^(p-1), so it moves the point (Z : W) of the
+    sphere by less than 2 / (2^(p-1) - 2) <= 2^(3-p).  The frame
+    coordinate is the image of (Z : W) under A = [[1, -c_j], [0, t^h_j]].
+    Its chordal Lipschitz constant is the ratio of its singular values,
+    sigma_1 / sigma_2 = sigma_1^2 / |det A|, at most the squared Frobenius
+    norm over |det A|: (1 + |c_j|^2 + |t|^(2 h_j)) / |t|^h_j.  Since
+    |c_j| <= C_j |t|^v_j, the numerator is at most
+    3 C_j^2 |t|^(2 min(0, v_j, h_j)), and 2 min(0, v_j, h_j) - h_j = -e_j.
+    QED.
+
+    Corollary.  Between shifts the orbit is exact, so in frame coordinates
+    a displacement is carried along by the rescaled step maps.  Away from
+    the holes, which the grid's margin avoids, these converge to the step
+    limits, so their chordal Lipschitz constants stay below some L >= 1
+    that does not depend on s.  A period-q orbit is shifted q + 1 times, so
+    its output moves by less than K 10^(e lambda) 2^-p, with
+    K = 24 (q + 1) L^q max_j C_j^2, e = max_j e_j and lambda = -log10|t|.
+    ``_scale_digits`` is e lambda; when ``digits`` exceeds it by 20, the
+    output is within K 10^-20 of the exact orbit's, and K does not grow as
+    s -> 0.  The rounding to doubles at the end is correctly rounded.
+    """
+    prec = ceil(digits * log2(10))
+    s = _exact(sval)
+
+    def at_s(series: PuiseuxSeries) -> GaussianRational:
+        total = GaussianRational.zero()
+        for e, c in series.terms:
+            total += c * s ** _resolved(e, ram)
+        return total
+
+    vals = [at_s(c) for c in fam.coeffs()]
+    den = lcm(*(v.d for v in vals))
+    coeffs = [(v.x * (den // v.d), v.y * (den // v.d)) for v in vals]
+    pairs = list(zip(coeffs[:len(fam.num)], coeffs[len(fam.num):]))
+    th = s ** _resolved(cycle.base.h, ram)
+    c = at_s(cycle.base.c)
+    steps = cycle.period
+    out: List[Optional[Hom]] = []
+    for w in points:
+        z0 = c + th * _exact(w)
+        p = _shift_to(prec, z0.x, z0.y, z0.d, 0)
+        for _ in range(steps):
+            if p is None:
+                break
+            zr, zi, wr, wi = p
+            # Horner in Z, with the powers of W beside it
+            w_pows = [(1, 0)]
+            for _ in pairs[1:]:
+                ur, ui = w_pows[-1]
+                w_pows.append((ur * wr - ui * wi, ur * wi + ui * wr))
+            (ar, ai), (br, bi) = pairs[-1]
+            for ((xr, xi), (yr, yi)), (ur, ui) in zip(pairs[-2::-1],
+                                                       w_pows[1:]):
+                ar, ai = (ar * zr - ai * zi + xr * ur - xi * ui,
+                          ar * zi + ai * zr + xr * ui + xi * ur)
+                br, bi = (br * zr - bi * zi + yr * ur - yi * ui,
+                          br * zi + bi * zr + yr * ui + yi * ur)
+            p = _shift_to(prec, ar, ai, br, bi)
+        if p is not None:
+            zr, zi, wr, wi = p
+            # (d_t (d_c Z - C W), d_c T W) for c = C / d_c, t^h = T / d_t
+            p = _rounded(th.d * (c.d * zr - c.x * wr + c.y * wi),
+                         th.d * (c.d * zi - c.x * wi - c.y * wr),
+                         c.d * (th.x * wr - th.y * wi),
+                         c.d * (th.x * wi + th.y * wr))
+        out.append(p)
+    return out
+
+
+def _exact(v: complex) -> GaussianRational:
+    return GaussianRational(Fraction(v.real), Fraction(v.imag))
+
+
+def _shift_to(prec: int, *parts: int) -> Optional[Tuple[int, ...]]:
+    """The parts shifted right together so the largest has ``prec`` bits."""
+    top = max(abs(x) for x in parts).bit_length()
+    if not top:
+        return None
+    return tuple(x >> top - prec for x in parts) if top > prec else parts
+
+
+def _rounded(zr: int, zi: int, wr: int, wi: int) -> Optional[Hom]:
+    """(z, w) / max(|z|, |w|) as doubles, each part correctly rounded."""
+    n2 = max(zr * zr + zi * zi, wr * wr + wi * wi)
+    if not n2:
+        return None
+    # m = sqrt(n2) 2^k to 128 bits or more, so int / int rounds once
+    k = max(0, 128 - n2.bit_length() // 2)
+    m = isqrt(n2 << 2 * k)
+    return (complex((zr << k) / m, (zi << k) / m),
+            complex((wr << k) / m, (wi << k) / m))

@@ -393,15 +393,16 @@ def test_cli_import_loads_no_numeric_stack():
 ], ids=["quad0", "cubic"])
 def test_verify_loads_no_numpy(argv):
     # the hole and preimage polynomials here have degree <= 2 with their
-    # roots at 0 or found from a linear factor, so numpy is never needed
+    # roots at 0 or found from a linear factor, so numpy is never needed;
+    # cubic (3) cancels up to 20 digits, which its orbits carry on ints
     src = str(Path(rescaling.__file__).resolve().parents[1])
     probe = ("import sys, contextlib, io, rescaling.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = rescaling.cli.main(['verify'] + sys.argv[1:])\n"
-             "print(code, 'numpy' in sys.modules)")
+             "print(code, 'numpy' in sys.modules, 'mpmath' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
                          check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["0", "False"]
+    assert out.split() == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("family", [LATTES, QUAD0], ids=["lattes", "quad0"])

@@ -1,11 +1,15 @@
 """Numeric spot checks of cycle limits on the sphere."""
 
+from math import ceil
+
+import mpmath
 import pytest
 
-from rescaling import (MapL, ReducedMap, chordal_distance,
-                       cpoly, verify_rescaling, sphere_grid)
+from rescaling import (MapL, ReducedMap, chordal_distance, cpoly, find_cycle,
+                       parse_family, parse_frame, verify, verify_rescaling,
+                       sphere_grid)
 from rescaling.verify import chordal_hom
-from .support import cycle, family, reduced
+from .support import CUBIC, cycle, family, reduced
 
 
 def test_chordal_distance_pins():
@@ -94,7 +98,9 @@ def test_report_is_immutable():
 
 
 # max_errors and control_error of the default check, recorded from the
-# exact Gaussian-rational orbit these high-cancellation cycles once ran on
+# exact Gaussian-rational orbit these high-cancellation cycles once ran on.
+# quad0 (3) at s = 1e-2 cancels 8 digits: its figure is the int orbit's,
+# which a 60-digit mpmath orbit confirms (doubles gave 5.70001e-05)
 EXACT_ORBIT_PINS = {
     ("cubic", "3"): ([4.978744038525362e-03, 4.997313933351009e-04,
                       4.999502908007618e-05], 0.796084380023185),
@@ -102,7 +108,7 @@ EXACT_ORBIT_PINS = {
                           1.2499105402802549e-04], 0.799566375520793),
     ("cubic_shift", "5"): ([7.370727640731693e-03, 7.486861674213378e-04,
                             7.49863700258748e-05], 0.7965884867576365),
-    ("quad0", "3"): ([5.7000078522678455e-05, 5.69869630516134e-07,
+    ("quad0", "3"): ([5.700181023068601e-05, 5.69869630516134e-07,
                       5.698681407611771e-09], 0.7960579353315995),
 }
 
@@ -128,3 +134,128 @@ def test_control_shares_the_smallest_s_orbit(key, seed):
     alone = verify_rescaling(fam, cyc._replace(limit=shifted),
                              s_grid=(min(rep.s_values),))
     assert rep.control_error == alone.max_errors[0]
+
+
+# max_errors and control_error of the default check on frames with a zero
+# center, whose orbits run in Python complex; the loop must keep every bit
+FLOAT_ORBIT_PINS = {
+    ("quad0", "1", 1.0): ([0.00036701823695857813, 3.670013164615475e-06,
+                           3.6700114774839927e-08], 0.7756379232034428),
+    ("mcm", "1/7", 1.0): ([0.00015012094115717583, 1.5012256829386208e-06,
+                           1.5012258487853207e-08], 0.7949599907570502),
+    ("lattes", "2/5", 1.0): ([0.00016588749346536932, 1.6518899285461134e-06,
+                              1.651193467746964e-08], 0.7958793616735259),
+    ("mcm", "1/3", 1j): ([0.07005934567086802, 0.0007020573395482443,
+                          7.020548946290064e-06], 0.7949272710029751),
+}
+
+
+@pytest.mark.parametrize("key,seed,ray", list(FLOAT_ORBIT_PINS))
+def test_float_orbit_keeps_its_bits(key, seed, ray):
+    errors, control = FLOAT_ORBIT_PINS[key, seed, ray]
+    rep = verify_rescaling(family(key), cycle(key, seed), ray=ray)
+    assert rep.max_errors == errors
+    assert rep.control_error == control
+
+
+# -- the int orbit against an mpmath reference -------------------------------
+
+def _mpc(c):
+    """A Gaussian rational as an mpc at the working precision."""
+    parts = (c.re.as_integer_ratio(), c.im.as_integer_ratio())
+    return mpmath.mpc(*(mpmath.mpf(n) / d for n, d in parts))
+
+
+def _mp_at_s(series, s, ram):
+    total = mpmath.mpc(0)
+    for e, c in series.terms:
+        total += _mpc(c) * s ** verify._resolved(e, ram)
+    return total
+
+
+def _mp_hom_apply(num_vals, den_vals, p):
+    z, w = p
+    one = mpmath.mpc(1)
+    w_pows = [one]
+    for _ in num_vals[1:]:
+        w_pows.append(w_pows[-1] * w)
+    new_z = new_w = 0
+    zn = one
+    for a, b, wn in zip(num_vals, den_vals, reversed(w_pows)):
+        new_z += a * zn * wn
+        new_w += b * zn * wn
+        zn *= z
+    m = max(abs(new_z), abs(new_w))
+    return None if m == 0 else (new_z / m, new_w / m)
+
+
+def _mp_max_error(fam, cyc, targets, points, sval, ram):
+    """``verify._max_error`` with every orbit in mpmath, at twice the
+    digits the int orbit carries."""
+    s_mag = abs(sval)
+    digits = max(verify._cancellation_digits(cyc, s_mag, ram),
+                 verify._scale_digits(cyc, s_mag, ram)) + 20
+    worst = [0.0] * len(targets)
+    dropped = 0
+    with mpmath.workdps(2 * ceil(digits)):
+        s = mpmath.mpc(sval)
+        num_vals = [_mp_at_s(c, s, ram) for c in fam.num]
+        den_vals = [_mp_at_s(c, s, ram) for c in fam.den]
+        th = s ** verify._resolved(cyc.base.h, ram)
+        cval = _mp_at_s(cyc.base.c, s, ram)
+        for j, w in enumerate(points):
+            p = (cval + th * w, mpmath.mpc(1))
+            for _ in range(cyc.period):
+                p = _mp_hom_apply(num_vals, den_vals, p)
+                if p is None:
+                    break
+            if p is None:
+                dropped += 1
+                continue
+            p = (p[0] - cval * p[1], th * p[1])
+            m = max(abs(p[0]), abs(p[1]))
+            if m == 0:
+                dropped += 1
+                continue
+            p = (complex(p[0] / m), complex(p[1] / m))
+            for k, imgs in enumerate(targets):
+                q = imgs[j]
+                if q is not None:
+                    worst[k] = max(worst[k], chordal_hom(p, q))
+                elif k == 0:
+                    dropped += 1
+    return worst, dropped
+
+
+def _ramified_cubic():
+    fam = parse_family(CUBIC, "t^(1/3)")
+    return fam, find_cycle(fam, parse_frame("1"))
+
+
+@pytest.mark.parametrize("key,seed,ray,forced", [
+    ("cubic", "3", 1.0, False),
+    ("cubic_inv", "4", 1.0, False),
+    ("cubic_shift", "5", 1.0, False),
+    ("quad0", "3", 1.0, False),
+    ("cubic", "3", 1j, False),
+    ("cubic_ramified", "1", 1.0, False),
+    # a zero center cancels nothing, so only the frames' scale (h up to 3/7,
+    # with t = s^7) sets the int orbit's precision here
+    ("mcm", "1/7", 1.0, True),
+])
+def test_int_orbit_matches_mpmath_reference(monkeypatch, key, seed, ray,
+                                            forced):
+    if key == "cubic_ramified":
+        fam, cyc = _ramified_cubic()
+    else:
+        fam, cyc = family(key), cycle(key, seed)
+    if forced:
+        monkeypatch.setattr(verify, "_cancellation_digits",
+                            lambda *args: 1e-9)
+    rep = verify_rescaling(fam, cyc, ray=ray)
+    assert all(verify._cancellation_digits(cyc, s, rep.ramification) > 0
+               for s in rep.s_values)
+    monkeypatch.setattr(verify, "_max_error", _mp_max_error)
+    ref = verify_rescaling(fam, cyc, ray=ray)
+    assert rep.max_errors == pytest.approx(ref.max_errors, rel=1e-10)
+    assert rep.control_error == pytest.approx(ref.control_error, rel=1e-10)
