@@ -12,30 +12,49 @@ the exit code stays the command's own.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from . import cpoly
-from .classify import (DichotomyReport, LimitClassification, PcfReport,
-                       classify_limit, quadratic_dichotomy_report)
+from .config import ITERATE_DEGREE_CAP
 from .errors import RescalingError
-from .famparse import parse_family, parse_frame
-from .frames import (FrameClass, RescalingCycle, ScanResult, StepResult,
-                     advance, cycle_limit_crosscheck, find_cycle,
-                     monomial_seed_scan, period_set_check)
-from .maps import MapL, ReducedMap, precompose_affine, reduce_family
-from .verify import verify_rescaling
+
+
+def _lazy(name: str):
+    """The submodule ``name`` of this package, executed on first use.
+
+    A module that is already imported comes back as it is.  Otherwise its
+    module object goes into ``sys.modules`` and onto the package at once,
+    as an import would put it there, but its code is compiled and run only
+    when an attribute is first read (``importlib.util.LazyLoader``).  So a
+    subcommand compiles only the modules it calls, and code that looks the
+    modules up in ``sys.modules`` (the benchmark's tracer) still finds them.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+cpoly, classify, famparse, frames, maps, verify = map(
+    _lazy, ("cpoly", "classify", "famparse", "frames", "maps", "verify"))
 
 SCHEMA_VERSION = 1
 
 
-def _frame_dict(fc: FrameClass) -> Dict:
+def _frame_dict(fc: frames.FrameClass) -> Dict:
     return {"h": str(fc.h), "center": str(fc.c)}
 
 
-def _reduced_dict(r: ReducedMap) -> Dict:
+def _reduced_dict(r: maps.ReducedMap) -> Dict:
     return {
         "map": str(r),
         "num": [str(c) for c in r.num],
@@ -47,7 +66,7 @@ def _reduced_dict(r: ReducedMap) -> Dict:
     }
 
 
-def _step_dict(st: StepResult) -> Dict:
+def _step_dict(st: frames.StepResult) -> Dict:
     return {
         "source": _frame_dict(st.source),
         "target": _frame_dict(st.target),
@@ -56,7 +75,7 @@ def _step_dict(st: StepResult) -> Dict:
     }
 
 
-def _cycle_dict(c: RescalingCycle) -> Dict:
+def _cycle_dict(c: frames.RescalingCycle) -> Dict:
     return {
         "period": c.period,
         "degree": c.degree,
@@ -67,7 +86,7 @@ def _cycle_dict(c: RescalingCycle) -> Dict:
     }
 
 
-def _pcf_dict(p: PcfReport) -> Dict:
+def _pcf_dict(p: classify.PcfReport) -> Dict:
     return {
         "status": p.status,
         "is_monomial": p.is_monomial,
@@ -77,7 +96,7 @@ def _pcf_dict(p: PcfReport) -> Dict:
     }
 
 
-def _classification_dict(c: LimitClassification) -> Dict:
+def _classification_dict(c: classify.LimitClassification) -> Dict:
     return {
         "map": c.map_str,
         "degree": c.degree,
@@ -88,7 +107,7 @@ def _classification_dict(c: LimitClassification) -> Dict:
     }
 
 
-def _dichotomy_dict(d: DichotomyReport) -> Dict:
+def _dichotomy_dict(d: classify.DichotomyReport) -> Dict:
     return {
         "case": d.case,
         "periods": list(d.periods),
@@ -125,23 +144,23 @@ Outcome = Tuple[Dict, int]
 
 
 def _cmd_reduce(args) -> Outcome:
-    fam = parse_family(args.family, args.subst)
+    fam = famparse.parse_family(args.family, args.subst)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     work = fam
     if args.frame is not None:
-        frame = parse_frame(args.frame)
-        work = precompose_affine(fam, frame)
+        frame = famparse.parse_frame(args.frame)
+        work = maps.precompose_affine(fam, frame)
         payload["frames"].append(
             {"h": str(frame.h), "center": str(frame.c)})
-    payload["reduced"] = _reduced_dict(reduce_family(work))
+    payload["reduced"] = _reduced_dict(maps.reduce_family(work))
     return payload, 0
 
 
 def _cmd_advance(args) -> Outcome:
-    fam = parse_family(args.family, args.subst)
-    frame = parse_frame(args.frame)
-    st = advance(fam, frame)
+    fam = famparse.parse_family(args.family, args.subst)
+    frame = famparse.parse_frame(args.frame)
+    st = frames.advance(fam, frame)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     payload["frames"] = [_frame_dict(st.source), _frame_dict(st.target)]
@@ -150,9 +169,9 @@ def _cmd_advance(args) -> Outcome:
 
 
 def _cmd_orbit(args) -> Outcome:
-    fam = parse_family(args.family, args.subst)
-    seed = parse_frame(args.frame)
-    cycle = find_cycle(fam, seed, args.max_steps)
+    fam = famparse.parse_family(args.family, args.subst)
+    seed = famparse.parse_frame(args.frame)
+    cycle = frames.find_cycle(fam, seed, args.max_steps)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     payload["frames"] = [_frame_dict(f)
@@ -162,12 +181,12 @@ def _cmd_orbit(args) -> Outcome:
         {"name": "limit_degree_product", "passed": True})
     code = 0
     if args.crosscheck:
-        ok = cycle_limit_crosscheck(fam, cycle)
+        ok = frames.cycle_limit_crosscheck(fam, cycle)
         payload["assertions"].append(
             {"name": "cycle_limit_crosscheck", "passed": ok})
         code = code or (0 if ok else 2)
     if args.period_max:
-        rep = period_set_check(fam, seed, args.period_max)
+        rep = frames.period_set_check(fam, seed, args.period_max)
         payload["period_set"] = {
             "degrees": {str(ell): dg for ell, dg in rep.degrees.items()},
             "law_holds": rep.law_holds,
@@ -179,9 +198,10 @@ def _cmd_orbit(args) -> Outcome:
     return payload, code
 
 
-def _scan_payload(args) -> Tuple[Dict, MapL, ScanResult]:
-    fam = parse_family(args.family, args.subst)
-    res = monomial_seed_scan(fam, args.max_denominator, args.max_steps)
+def _scan_payload(args) -> Tuple[Dict, maps.MapL, frames.ScanResult]:
+    fam = famparse.parse_family(args.family, args.subst)
+    res = frames.monomial_seed_scan(fam, args.max_denominator,
+                                    args.max_steps)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     payload["cycles"] = [_cycle_dict(c) for c in res.cycles]
@@ -200,12 +220,12 @@ def _cmd_scan(args) -> Outcome:
 
 
 def _cmd_verify(args) -> Outcome:
-    fam = parse_family(args.family, args.subst)
-    seed = parse_frame(args.frame)
-    cycle = find_cycle(fam, seed, args.max_steps)
+    fam = famparse.parse_family(args.family, args.subst)
+    seed = famparse.parse_frame(args.frame)
+    cycle = frames.find_cycle(fam, seed, args.max_steps)
     s_grid = tuple(float(s) for s in args.s_grid.split(","))
-    report = verify_rescaling(fam, cycle, s_grid=s_grid, tol=args.tol,
-                              grid_points=args.points)
+    report = verify.verify_rescaling(fam, cycle, s_grid=s_grid,
+                                     tol=args.tol, grid_points=args.points)
     payload = _payload(args)
     payload["family"]["degree"] = fam.degree
     payload["cycles"] = [_cycle_dict(cycle)]
@@ -221,9 +241,10 @@ def _cmd_verify(args) -> Outcome:
 def _cmd_report(args) -> Outcome:
     payload, fam, res = _scan_payload(args)
     payload["classification"] = [
-        _classification_dict(classify_limit(c.limit)) for c in res.cycles]
+        _classification_dict(classify.classify_limit(c.limit))
+        for c in res.cycles]
     if args.dichotomy:
-        rep = quadratic_dichotomy_report(res.cycles, fam.degree)
+        rep = classify.quadratic_dichotomy_report(res.cycles, fam.degree)
         payload["dichotomy"] = _dichotomy_dict(rep)
     return payload, 0
 
@@ -269,7 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="re-derive the cycle limit from the iterated "
                          "family")
     sp.add_argument("--period-max", type=int, default=0, metavar="L",
-                    help="also compute conjugated iterate degrees up to L")
+                    help="also compute conjugated iterate degrees up to L; "
+                         "the check composes the whole family, whose "
+                         "degree d must keep d^L within "
+                         f"{ITERATE_DEGREE_CAP} (L <= 6 for d = 2, L <= 3 "
+                         "for d = 3), or it exits 3 with DegreeCapExceeded")
     sp.set_defaults(fn=_cmd_orbit)
 
     sp = sub.add_parser("scan", help="seed every monomial frame up to a "

@@ -146,7 +146,7 @@ def poly_str(p: Sequence[GaussianRational], var: str = "z") -> str:
         c = p[i]
         if c.is_zero:
             continue
-        neg = not c.y and c.x < 0
+        neg = (c.x < 0 and not c.y) or (c.y < 0 and not c.x)
         if neg:
             c = -c
         cs = str(c)

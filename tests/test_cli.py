@@ -1,5 +1,6 @@
 """Command line interface: JSON payloads and exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import rescaling
 import rescaling.frames as frames_mod
 import rescaling.maps as maps_mod
-from rescaling import cli, errors
+from rescaling import cli, errors, famparse
 from rescaling.config import CENTER_HEIGHT_CAP, ITERATE_DEGREE_CAP
 from .support import CUBIC, LATTES, MCMULLEN, QUAD0
 
@@ -157,7 +158,7 @@ def test_error_class_exit_code(capsys, monkeypatch, name):
     def fail(*args, **kwargs):
         raise getattr(errors, name)("boom")
 
-    monkeypatch.setattr(cli, "parse_family", fail)
+    monkeypatch.setattr(famparse, "parse_family", fail)
     code, doc = run(capsys, "reduce", "z^2")
     assert code == EXIT_CODES[name]
     assert doc["error"] == {"type": name, "message": "boom"}
@@ -170,7 +171,7 @@ def test_new_error_class_takes_the_default_exit_code(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise Unlisted("boom")
 
-    monkeypatch.setattr(cli, "parse_family", fail)
+    monkeypatch.setattr(famparse, "parse_family", fail)
     assert run(capsys, "reduce", "z^2") == (
         3, {"schema_version": 1,
             "error": {"type": "Unlisted", "message": "boom"}})
@@ -385,6 +386,70 @@ def test_cli_import_loads_no_numeric_stack():
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+LIBRARY = ("cpoly", "classify", "famparse", "frames", "maps", "verify")
+
+
+def _probe(code, *argv):
+    src = str(Path(rescaling.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=src,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_cli_import_registers_every_library_module():
+    # bench/tracing.py's Tracer.install() reads these from sys.modules
+    # right after importing the CLI, before any command has run
+    probe = ("import sys, rescaling.cli\n"
+             "print(all(f'rescaling.{m}' in sys.modules for m in "
+             "sys.argv[1:]))")
+    assert _probe(probe, *LIBRARY).split() == ["True"]
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["reduce", QUAD0], ["classify", "frames", "verify"]),
+    (["verify", QUAD0, "--frame", "1"], ["classify"]),
+], ids=["reduce", "verify"])
+def test_a_command_runs_only_the_modules_it_calls(argv, unloaded):
+    # type() does not trigger a lazy load; a module that has run is a
+    # plain module again
+    probe = ("import sys, types, contextlib, io, rescaling.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = rescaling.cli.main(sys.argv[1:])\n"
+             "print(code, sorted(m for m in %r if type(sys.modules["
+             "f'rescaling.{m}']) is not types.ModuleType))" % (LIBRARY,))
+    assert _probe(probe, *argv).strip() == f"0 {sorted(unloaded)}"
+
+
+def test_lazy_module_is_an_attribute_of_the_package():
+    probe = ("import rescaling.cli\n"
+             "import rescaling.frames\n"
+             "print(rescaling.frames.advance.__name__)")
+    assert _probe(probe).split() == ["advance"]
+
+
+@pytest.mark.parametrize("name", rescaling.__all__)
+def test_package_name_is_its_home_module_object(name):
+    obj = getattr(rescaling, name)
+    assert obj.__module__.startswith("rescaling.")
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_package_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rescaling.no_such_name
+    assert set(rescaling.__all__) <= set(dir(rescaling))
+
+
+@pytest.mark.parametrize("family, printed", [
+    ("(z^2 - i)/z", "(z^2 - i)/z"),
+    ("(z^2 - i*z + 1)/z", "(z^2 - i*z + 1)/z"),
+])
+def test_printed_map_parses_back_to_the_same_map(capsys, family, printed):
+    _, doc = run(capsys, "reduce", family)
+    assert doc["reduced"]["map"] == printed
+    _, again = run(capsys, "reduce", printed)
+    assert again["reduced"] == doc["reduced"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -65,6 +65,9 @@ def test_poly_str():
     assert cpoly.poly_str(gp(0, 1)) == "z"
     assert cpoly.poly_str([]) == "0"
     assert cpoly.poly_str([G(0, 1)]) == "i"
+    # a purely imaginary coefficient shows its sign as the operator
+    assert cpoly.poly_str([G(0, -1), G(0, -2), G(1, 0)]) == "z^2 - 2i*z - i"
+    assert cpoly.poly_str([G(0, -1), G(1, 0)]) == "z - i"
 
 
 def test_roots_numeric():
