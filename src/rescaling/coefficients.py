@@ -28,7 +28,7 @@ class GaussianRational:
     >>> a = GaussianRational(1, 2)
     >>> b = GaussianRational(Fraction(1, 3))
     >>> print(a * b)
-    1/3+2/3i
+    1/3+2/3*i
     >>> print(a * a.inverse())
     1
     """
@@ -219,7 +219,7 @@ def _imag_str(q: Fraction) -> str:
         return "i"
     if q == -1:
         return "-i"
-    return f"{q}i"
+    return f"{q}*i"
 
 
 def _as_gaussian(value):

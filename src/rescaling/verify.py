@@ -17,8 +17,11 @@ comparison, otherwise the tolerance was meaningless.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, cos, isfinite, isqrt, lcm, log2, log10, pi, sin, sqrt
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from math import (ceil, cos, inf, isfinite, isqrt, lcm, log2, log10, pi, sin,
+                  sqrt)
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from . import cpoly
 from .coefficients import GaussianRational
@@ -89,39 +92,101 @@ def _eval_at_s(series: PuiseuxSeries, sval: complex, ram: int) -> complex:
 
 
 def _hom_orbits(num_vals: Sequence[complex], den_vals: Sequence[complex],
-                starts: Sequence[Hom], steps: int) -> List[Optional[Hom]]:
+                starts: Iterable[Hom], steps: int,
+                frame: Optional[Hom] = None,
+                targets: Sequence[Sequence[Optional[Hom]]] = ()
+                ) -> Union[List[Optional[Hom]], Tuple[List[float], int]]:
     """Each start after ``steps`` applications of the homogeneous map.
 
     Every image is rescaled so its larger coordinate is 1; an orbit that
-    degenerates ends in None.  Each term is (a_i * z^i) * w^(d-i), summed
-    upward.
+    degenerates ends in None.  Given ``frame`` = (c, t^h), the orbits are
+    not kept: each end (z, w) goes on to (z - c w, t^h w), rescaled the same
+    way, and is compared in :func:`chordal_hom`'s arithmetic with each
+    target's image of its start; the result is then :func:`_max_error`'s,
+    the worst gap per target and the number of points dropped.
+
+    The powers z^i and w^k are repeated products from 1, and each term is
+    (a_i * z^i) * w^(d-i), summed upward in i from 0, as in the dense loop
+    over every i; only the terms with a_i = 0 are left out.
+
+    Claim.  The two loops end an orbit in None at the same step, and
+    otherwise in equal (``==``) points: at most the sign of a zero differs.
+
+    Proof.  Call two doubles alike when they are equal or both NaN.  Sums,
+    differences and products of alike operands are alike, and so are their
+    quotients by one divisor m > 0: the sign of a zero operand decides only
+    the sign of a zero result.  abs() ignores signs, and max(x, y) keeps x
+    unless y > x.  So it suffices that a step takes alike (z, w) either to
+    alike images or to None in both loops.
+    (a) Every power z^i, w^k (i, k <= d) finite.  A left-out term is then
+    (0 * z^i) * w^k = +-0, and adding +-0 to x gives a double alike to x.
+    The sums, hence m and the images, are alike.
+    (b) Some power not finite.  A product one of whose factors has an
+    infinite or NaN part has one too, so z^d or w^d is not finite.  The
+    dense numerator holds the terms (a_d z^d) * 1 and (a_0 * 1) w^d, one of
+    which is then not finite (0 times infinity is NaN); so is any sum of
+    such a term, hence |nz| and m, and the dense loop ends in None.  The
+    sparse loop keeps that term if its a is not 0; if a_0 or a_d is 0 it
+    tests z^d and w^d itself.
+    Last, the frame's rescaling and the comparison take alike inputs to
+    alike results, so with ``frame`` the figures are the same.  QED.
     """
     one = 1.0 + 0j
     d = len(num_vals) - 1
-    # each coefficient a_i, b_i with the power of w it takes, d - i
-    coeffs = list(zip(num_vals, den_vals, range(d, -1, -1)))
-    rise = range(d)
+    num = [(a, i, d - i) for i, a in enumerate(num_vals) if a]
+    den = [(b, i, d - i) for i, b in enumerate(den_vals) if b]
+    guard = not (num_vals[0] and num_vals[d])
+    zp = [one] * (d + 1)
+    wp = zp.copy()
+    rise, repeats = range(1, d + 1), range(steps)
+    c, th = frame or (0j, one)
     out: List[Optional[Hom]] = []
-    for z, w in starts:
-        for _ in range(steps):
-            w_pows = [one]
-            for _ in rise:
-                w_pows.append(w_pows[-1] * w)
-            new_z = new_w = 0
-            zn = one
-            for a, b, k in coeffs:
-                wn = w_pows[k]
-                new_z += a * zn * wn
-                new_w += b * zn * wn
-                zn *= z
-            m = max(abs(new_z), abs(new_w))
-            if m == 0.0 or not isfinite(m):
-                out.append(None)
+    worst = [0.0] * len(targets)
+    dropped = 0
+    for j, (z, w) in enumerate(starts):
+        for _ in repeats:
+            zn = wn = one
+            for i in rise:
+                zp[i] = zn = zn * z
+                wp[i] = wn = wn * w
+            # x - x == 0 exactly when both parts of x are finite
+            if guard and not (zn - zn == 0 and wn - wn == 0):
                 break
-            z, w = new_z / m, new_w / m
+            nz = nw = 0j
+            for a, i, k in num:
+                nz += a * zp[i] * wp[k]
+            for b, i, k in den:
+                nw += b * zp[i] * wp[k]
+            az, aw = abs(nz), abs(nw)
+            m = aw if aw > az else az
+            if not 0.0 < m < inf:
+                break
+            z, w = nz / m, nw / m
         else:
-            out.append((z, w))
-    return out
+            if frame is None:
+                out.append((z, w))
+                continue
+            z, w = z - c * w, th * w
+            az, aw = abs(z), abs(w)
+            m = aw if aw > az else az
+            if 0.0 < m < inf:
+                z, w = z / m, w / m
+                na2 = abs(z) ** 2 + abs(w) ** 2
+                for k, imgs in enumerate(targets):
+                    q = imgs[j]
+                    if q is not None:
+                        q0, q1 = q
+                        gap = abs(z * q1 - w * q0) / sqrt(
+                            na2 * (abs(q0) ** 2 + abs(q1) ** 2))
+                        if gap > worst[k]:
+                            worst[k] = gap
+                    elif k == 0:
+                        dropped += 1
+                continue
+        if frame is None:
+            out.append(None)
+        dropped += 1
+    return out if frame is None else (worst, dropped)
 
 
 def _images(g: ReducedMap, points: Sequence[complex]) -> List[Optional[Hom]]:
@@ -129,7 +194,7 @@ def _images(g: ReducedMap, points: Sequence[complex]) -> List[Optional[Hom]]:
     d = max(cpoly.degree(g.num), cpoly.degree(g.den), 0)
     num = [c.to_complex() for c in g.num] + [0j] * (d + 1 - len(g.num))
     den = [c.to_complex() for c in g.den] + [0j] * (d + 1 - len(g.den))
-    return _hom_orbits(num, den, [(w, 1.0 + 0j) for w in points], 1)
+    return _hom_orbits(num, den, zip(points, repeat(1.0 + 0j)), 1)
 
 
 def _step_holes(step_limit: ReducedMap) -> List[object]:
@@ -254,11 +319,20 @@ def _exclude_hole_pullbacks(cycle: RescalingCycle,
             exceptional.extend(_preimages(partial, h))
         partial = (st.limit if partial is None
                    else compose_reduced(st.limit, partial))
+    # each hole as (q0 : q1) with its squared norm; a point's distance to
+    # it is chordal_hom's arithmetic on (w : 1), and NaN drops the point
+    one = 1.0 + 0j
+    holes = [(one, 0j) if e == INFINITY else (complex(e), one)
+             for e in exceptional]
+    holes = [(q0, q1, abs(q0) ** 2 + abs(q1) ** 2) for q0, q1 in holes]
     kept = []
     for w in grid:
-        p: Hom = (w, 1.0 + 0j)
-        if all(_chordal_to(p, e) >= VERIFY_HOLE_MARGIN
-               for e in exceptional):
+        na2 = abs(w) ** 2 + abs(one) ** 2
+        for q0, q1, nb2 in holes:
+            if not (abs(w * q1 - one * q0) / sqrt(na2 * nb2)
+                    >= VERIFY_HOLE_MARGIN):
+                break
+        else:
             kept.append(w)
     return kept
 
@@ -283,12 +357,6 @@ def _preimages(partial: Optional[ReducedMap], h: object) -> List[object]:
     if at_inf != INFINITY and abs(at_inf - hc) < 1e-9:
         out.append(INFINITY)
     return out
-
-
-def _chordal_to(p: Hom, target) -> float:
-    if target == INFINITY:
-        return chordal_hom(p, (1.0 + 0j, 0j))
-    return chordal_hom(p, (complex(target), 1.0 + 0j))
 
 
 def _cancellation_digits(cycle: RescalingCycle, s_mag: float,
@@ -328,26 +396,21 @@ def _max_error(fam: MapL, cycle: RescalingCycle,
     run in Python complex when nothing cancels (every frame center is 0,
     or |s| >= 1), and otherwise on Python ints (:func:`_int_orbits`) with
     20 digits beyond the larger of the cancellation and the frames' scale;
-    only the final comparison is in floats.
+    only the final comparison is in floats.  A float orbit is compared as
+    soon as it ends, in :func:`_hom_orbits`.
     """
     s_mag = abs(sval)
     digits = _cancellation_digits(cycle, s_mag, ram)
-    if digits > 0:
-        digits = max(digits, _scale_digits(cycle, s_mag, ram)) + 20
-        images = _int_orbits(fam, cycle, points, sval, ram, digits)
-    else:
+    if digits <= 0:
         num_vals = [_eval_at_s(c, sval, ram) for c in fam.num]
         den_vals = [_eval_at_s(c, sval, ram) for c in fam.den]
         th = sval ** _resolved(cycle.base.h, ram)
         cval = _eval_at_s(cycle.base.c, sval, ram)
-        starts = [(cval + th * w, 1.0 + 0j) for w in points]
-        images = []
-        for p in _hom_orbits(num_vals, den_vals, starts, cycle.period):
-            if p is not None:
-                p = (p[0] - cval * p[1], th * p[1])
-                m = max(abs(p[0]), abs(p[1]))
-                p = (p[0] / m, p[1] / m) if m and isfinite(m) else None
-            images.append(p)
+        starts = zip([cval + th * w for w in points], repeat(1.0 + 0j))
+        return _hom_orbits(num_vals, den_vals, starts, cycle.period,
+                           (cval, th), targets)
+    digits = max(digits, _scale_digits(cycle, s_mag, ram)) + 20
+    images = _int_orbits(fam, cycle, points, sval, ram, digits)
     worst = [0.0] * len(targets)
     dropped = 0
     for j, p in enumerate(images):

@@ -39,8 +39,8 @@ def test_reduce_plain(capsys):
 def test_reduce_prints_negative_imaginary_part(capsys):
     code, doc = run(capsys, "reduce", "z^2 + 3 - 2*i + t")
     assert code == 0
-    assert doc["reduced"]["map"] == "z^2 + (3-2i)"
-    assert doc["reduced"]["num"] == ["3-2i", "0", "1"]
+    assert doc["reduced"]["map"] == "z^2 + (3-2*i)"
+    assert doc["reduced"]["num"] == ["3-2*i", "0", "1"]
 
 
 def test_reduce_in_frame(capsys):
@@ -444,6 +444,10 @@ def test_package_unknown_name_raises_attribute_error():
 @pytest.mark.parametrize("family, printed", [
     ("(z^2 - i)/z", "(z^2 - i)/z"),
     ("(z^2 - i*z + 1)/z", "(z^2 - i*z + 1)/z"),
+    # a non-unit imaginary part prints with its product sign
+    ("(z^2 - 2*i*z + 1)/z", "(z^2 - 2*i*z + 1)/z"),
+    ("z^2 - 3*i/2", "z^2 - 3/2*i"),
+    ("z^2 + 3 - 2*i", "z^2 + (3-2*i)"),
 ])
 def test_printed_map_parses_back_to_the_same_map(capsys, family, printed):
     _, doc = run(capsys, "reduce", family)
@@ -452,14 +456,25 @@ def test_printed_map_parses_back_to_the_same_map(capsys, family, printed):
     assert again["reduced"] == doc["reduced"]
 
 
+def test_printed_center_parses_back_as_a_frame(capsys):
+    _, doc = run(capsys, "reduce", "z^2", "--frame", "1, 2/5+2*i - 3/5*i*t")
+    center = doc["frames"][0]["center"]
+    assert center == "(2/5+2*i) + (-3/5*i)*t"
+    _, again = run(capsys, "reduce", "z^2", "--frame", f"1, {center}")
+    assert again["frames"] == doc["frames"]
+
+
 @pytest.mark.parametrize("argv", [
     (QUAD0, "--frame", "1"),
     (CUBIC, "--frame", "3", "--points", "40"),
-], ids=["quad0", "cubic"])
+    (MCMULLEN, "--frame", "1/7", "--points", "6000"),
+    (LATTES, "--frame", "2/5", "--points", "6000"),
+], ids=["quad0", "cubic", "mcm", "lattes"])
 def test_verify_loads_no_numpy(argv):
     # the hole and preimage polynomials here have degree <= 2 with their
     # roots at 0 or found from a linear factor, so numpy is never needed;
-    # cubic (3) cancels up to 20 digits, which its orbits carry on ints
+    # cubic (3) cancels up to 20 digits, which its orbits carry on ints;
+    # the 6000-point float grids run on Python complex alone
     src = str(Path(rescaling.__file__).resolve().parents[1])
     probe = ("import sys, contextlib, io, rescaling.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -59,20 +59,20 @@ nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero)
 
 _NUMBER = r"\d+(?:/\d+)?"
 _PRINTED = re.compile(
-    rf"(?P<a>-?{_NUMBER})|(?P<b>-?(?:{_NUMBER})?)i"
-    rf"|(?P<re>-?{_NUMBER})(?P<sign>[+-])(?P<im>(?:{_NUMBER})?)i")
+    rf"(?P<a>-?{_NUMBER})|(?P<b>-?(?:{_NUMBER}\*)?)i"
+    rf"|(?P<re>-?{_NUMBER})(?P<sign>[+-])(?P<im>(?:{_NUMBER}\*)?)i")
 
 
 def _read_printed(text):
-    """A printed Gaussian rational, in the grammar a | bi | a+bi | a-bi."""
+    """A printed Gaussian rational: a | b*i | a+b*i | a-b*i, b = 1 unwritten."""
     m = _PRINTED.fullmatch(text)
     assert m, text
     if m["a"] is not None:
         return GaussianRational(Fraction(m["a"]))
     if m["re"] is None:
         im = {"": 1, "-": -1}.get(m["b"])
-        return GaussianRational(0, Fraction(m["b"]) if im is None else im)
-    im = Fraction(m["im"]) if m["im"] else 1
+        return GaussianRational(0, Fraction(m["b"][:-1]) if im is None else im)
+    im = Fraction(m["im"][:-1]) if m["im"] else 1
     return GaussianRational(Fraction(m["re"]), -im if m["sign"] == "-" else im)
 
 
@@ -135,7 +135,7 @@ class _Pair:
 
     def __str__(self):
         def imag(q):
-            return {1: "i", -1: "-i"}.get(q, f"{q}i")
+            return {1: "i", -1: "-i"}.get(q, f"{q}*i")
         if not self.im:
             return str(self.re)
         if not self.re:

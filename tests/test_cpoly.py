@@ -66,7 +66,7 @@ def test_poly_str():
     assert cpoly.poly_str([]) == "0"
     assert cpoly.poly_str([G(0, 1)]) == "i"
     # a purely imaginary coefficient shows its sign as the operator
-    assert cpoly.poly_str([G(0, -1), G(0, -2), G(1, 0)]) == "z^2 - 2i*z - i"
+    assert cpoly.poly_str([G(0, -1), G(0, -2), G(1, 0)]) == "z^2 - 2*i*z - i"
     assert cpoly.poly_str([G(0, -1), G(1, 0)]) == "z - i"
 
 
@@ -191,9 +191,9 @@ def _check_against_sympy(p, factors=None):
     # z(z - 21) and z(z - 21i): their roots meet mod 3 and mod 7, so the
     # search must move on to p = 11
     ("z*(z - 21)", [("0", 1), ("21", 1)], []),
-    ("z*(z - 21*I)", [("0", 1), ("21i", 1)], []),
+    ("z*(z - 21*I)", [("0", 1), ("21*i", 1)], []),
     ("5", [], []),
-    ("(2 + I)*z - 3", [("6/5-3/5i", 1)], []),
+    ("(2 + I)*z - 3", [("6/5-3/5*i", 1)], []),
     ("z**12*(z**2 + 2)", [("0", 12)], [("z**2 + 2", 1)]),
     ("(z - 1)**2*(z**2 + 1)**3*(z**2 - 3)**3*(z**2 + 2)",
      [("1", 2), ("-i", 3), ("i", 3)], [("z**2 + 2", 1), ("z**2 - 3", 3)]),

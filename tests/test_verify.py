@@ -1,9 +1,10 @@
 """Numeric spot checks of cycle limits on the sphere."""
 
-from math import ceil
+from math import ceil, isfinite
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rescaling import (MapL, ReducedMap, chordal_distance, cpoly, find_cycle,
                        parse_family, parse_frame, verify, verify_rescaling,
@@ -156,6 +157,85 @@ def test_float_orbit_keeps_its_bits(key, seed, ray):
     rep = verify_rescaling(family(key), cycle(key, seed), ray=ray)
     assert rep.max_errors == errors
     assert rep.control_error == control
+
+
+# -- the sparse float loop against the dense one ---------------------------
+
+def _dense_hom_orbits(num_vals, den_vals, starts, steps):
+    """``verify._hom_orbits`` before it skipped zero terms: every term
+    (a_i * z^i) * w^(d-i), summed upward from 0."""
+    one = 1.0 + 0j
+    d = len(num_vals) - 1
+    coeffs = list(zip(num_vals, den_vals, range(d, -1, -1)))
+    out = []
+    for z, w in starts:
+        for _ in range(steps):
+            w_pows = [one]
+            for _ in range(d):
+                w_pows.append(w_pows[-1] * w)
+            new_z = new_w = 0
+            zn = one
+            for a, b, k in coeffs:
+                wn = w_pows[k]
+                new_z += a * zn * wn
+                new_w += b * zn * wn
+                zn *= z
+            m = max(abs(new_z), abs(new_w))
+            if m == 0.0 or not isfinite(m):
+                out.append(None)
+                break
+            z, w = new_z / m, new_w / m
+        else:
+            out.append((z, w))
+    return out
+
+
+def _alike(p, q):
+    """Both None, or equal parts where a NaN part matches a NaN part."""
+    if p is None or q is None:
+        return p is q
+    parts = [(x.real, y.real) for x, y in zip(p, q)]
+    parts += [(x.imag, y.imag) for x, y in zip(p, q)]
+    return all(x == y or x != x and y != y for x, y in parts)
+
+
+_ZERO = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+_PART = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 3.0, -7.25])
+_START_PART = st.sampled_from([0.0, -0.0, 1.0, -0.5, 1e150, -1e150, 1e-150,
+                               1e300, -1e300, 1e-300, -1e-300])
+
+
+@st.composite
+def _sparse_maps(draw):
+    """(num, den) of one degree 1-8, each with a random zero pattern or a
+    single nonzero coefficient."""
+    d = draw(st.integers(1, 8))
+    coeff = st.builds(complex, _PART, _PART)
+
+    def side():
+        if draw(st.booleans()):
+            keep = {draw(st.integers(0, d))}
+        else:
+            keep = {i for i in range(d + 1) if draw(st.booleans())}
+        return [draw(coeff) if i in keep else draw(_ZERO)
+                for i in range(d + 1)]
+    return side(), side()
+
+
+@given(_sparse_maps(),
+       st.lists(st.tuples(st.builds(complex, _START_PART, _START_PART),
+                          st.builds(complex, _START_PART, _START_PART)),
+                min_size=1, max_size=4),
+       st.integers(1, 3))
+# 1/z^2 at z = 1e200: z^2 overflows, and the dense numerator's zero term
+# 0 * z^2 is NaN; only the finiteness test of z^d ends this orbit in None
+@example(([1 + 0j, 0j, 0j], [0j, 0j, 1 + 0j]), [(1e200 + 0j, 1 + 0j)], 1)
+def test_sparse_float_loop_matches_dense(maps, starts, steps):
+    num, den = maps
+    got = verify._hom_orbits(num, den, starts, steps)
+    ref = _dense_hom_orbits(num, den, starts, steps)
+    assert len(got) == len(ref)
+    assert all(map(_alike, got, ref)), (got, ref)
 
 
 # -- the int orbit against an mpmath reference -------------------------------
