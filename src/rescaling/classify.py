@@ -2,10 +2,10 @@
 
 Three predicates drive the reports: whether a map has a multiple fixed
 point, whether it is conjugate to a polynomial (some point is totally
-invariant), and whether it is postcritically finite.  Exact maps get
-certified answers where the arithmetic allows; critical points outside Q(i)
-are followed numerically, and those verdicts are labeled as such in the
-status.
+invariant), and whether it is postcritically finite.  Every answer comes
+from exact arithmetic over Q(i).  Where a critical point lies outside Q(i)
+and no exact orbit settles the question, the postcritical verdict is
+``Unknown``; no orbit is followed in floating point.
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
 from . import cpoly
-from .config import PCF_CLUSTER_TOL, PCF_HEIGHT_BITS, PCF_MAX_ITER
+from .config import PCF_HEIGHT_BITS, PCF_MAX_ITER
 from .errors import AssertionFailed
 from .coefficients import GaussianRational
 from .maps import ReducedMap
 
 PCF_CERTIFIED = "PCF_Certified"
-PCF_NUMERIC = "PCF_Numeric"
 NOT_PCF_ESCAPE = "NotPCF_CertifiedEscape"
 NOT_PCF_WITHIN = "NotPCF_WithinBound"
 PCF_UNKNOWN = "Unknown"
 
 INFINITY = "inf"
-
-_DIVERGE_MAG = 1e9
 
 Point = Union[GaussianRational, str]
 
@@ -100,10 +97,14 @@ def pcf_check(g: ReducedMap, max_iter: int = PCF_MAX_ITER) -> PcfReport:
     """Postcritical finiteness of a reduced map.
 
     Monomials short-circuit: their critical orbits live in {0, infinity}.
-    Exact critical points get exact orbits with repeat detection, a height
-    cap, and (for polynomials) a certified escape radius; critical points
-    outside Q(i) fall back to numeric orbits whose verdicts are never
-    labeled certified.
+    The critical points in Q(i) and infinity get exact orbits with repeat
+    detection, a height cap, and (for polynomials) a certified escape
+    radius.  An escape gives ``NotPCF_CertifiedEscape`` and a cap
+    ``NotPCF_WithinBound``, whatever the other critical points do.
+    Otherwise each factor of the Wronskian with no root in Q(i), as
+    ``cpoly.roots_exact`` leaves it, adds the entry ``"roots of <factor>":
+    "outside Q(i)"`` after the exact orbits, and the status is ``Unknown``:
+    its roots are not followed at all.
     """
     d = g.degree
     if _is_monomial(g):
@@ -137,15 +138,9 @@ def pcf_check(g: ReducedMap, max_iter: int = PCF_MAX_ITER) -> PcfReport:
     if capped:
         return PcfReport(NOT_PCF_WITHIN, False, orbits)
     if rest:
-        # critical points outside Q(i): only numeric verdicts remain
-        num_crits: List[object] = []
         for fac, _ in rest:
-            num_crits.extend(cpoly.roots_numeric(fac))
-        sub = _pcf_numeric(g, num_crits, max_iter)
-        merged = dict(orbits)
-        merged.update(sub.orbits)
-        # certification is lost once any orbit is tracked numerically
-        return PcfReport(sub.status, False, merged)
+            orbits[f"roots of {cpoly.poly_str(fac)}"] = "outside Q(i)"
+        return PcfReport(PCF_UNKNOWN, False, orbits)
     return PcfReport(PCF_CERTIFIED, False, orbits,
                      tuple(sorted(_pt_str(p) for p in postcritical)))
 
@@ -207,62 +202,6 @@ def _apply_exact(g: ReducedMap, z: Point) -> Point:
         return num[-1] / den[-1]
     sz = cpoly.peval(den, z)
     if sz.is_zero:
-        return INFINITY
-    return cpoly.peval(num, z) / sz
-
-
-def _pcf_numeric(g: ReducedMap, crits: Sequence[object],
-                 max_iter: int) -> PcfReport:
-    orbits: Dict[str, str] = {}
-    all_periodic = True
-    diverged = False
-    for z0 in crits:
-        verdict = _numeric_orbit(g, z0, max_iter)
-        key = _pt_str(z0)
-        orbits[key] = verdict
-        if verdict == "numeric-diverged":
-            diverged = True
-            all_periodic = False
-        elif verdict != "numeric-periodic":
-            all_periodic = False
-    if all_periodic:
-        return PcfReport(PCF_NUMERIC, False, orbits)
-    if diverged:
-        return PcfReport(NOT_PCF_WITHIN, False, orbits)
-    return PcfReport(PCF_UNKNOWN, False, orbits)
-
-
-def _numeric_orbit(g: ReducedMap, z0: object, max_iter: int) -> str:
-    num = [c.to_complex() for c in g.num]
-    den = [c.to_complex() for c in g.den]
-    z = z0 if z0 == INFINITY else complex(z0)
-    visited: List[object] = []
-    for _ in range(max_iter):
-        for w in visited:
-            if z == INFINITY or w == INFINITY:
-                if z == w:
-                    return "numeric-periodic"
-            elif abs(z - w) < PCF_CLUSTER_TOL:
-                return "numeric-periodic"
-        visited.append(z)
-        z = _apply_numeric(num, den, z)
-        if z != INFINITY and abs(z) > _DIVERGE_MAG:
-            return "numeric-diverged"
-    return "numeric-capped"
-
-
-def _apply_numeric(num: List[complex], den: List[complex],
-                   z: object) -> object:
-    if z == INFINITY:
-        dn, dd = len(num) - 1, len(den) - 1
-        if dn > dd:
-            return INFINITY
-        if dn < dd:
-            return 0j
-        return num[-1] / den[-1]
-    sz = cpoly.peval(den, z)
-    scale = sum(abs(c) * max(1.0, abs(z)) ** i for i, c in enumerate(den))
-    if abs(sz) <= 1e-12 * max(scale, 1e-300):
         return INFINITY
     return cpoly.peval(num, z) / sz
 

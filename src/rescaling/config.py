@@ -26,9 +26,8 @@ RAMIFICATION_CAP = 512
 #: the last frame under the cap can always be printed.
 CENTER_HEIGHT_CAP = 4096
 
-#: Critical-orbit iteration budget and numeric cluster tolerance.
+#: Critical-orbit iteration budget.
 PCF_MAX_ITER = 64
-PCF_CLUSTER_TOL = 1e-9
 #: Exact orbits are cut off once coordinates exceed this many bits.
 PCF_HEIGHT_BITS = 256
 

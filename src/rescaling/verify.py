@@ -98,12 +98,13 @@ def _hom_orbits(num_vals: Sequence[complex], den_vals: Sequence[complex],
                 ) -> Union[List[Optional[Hom]], Tuple[List[float], int]]:
     """Each start after ``steps`` applications of the homogeneous map.
 
-    Every image is rescaled so its larger coordinate is 1; an orbit that
-    degenerates ends in None.  Given ``frame`` = (c, t^h), the orbits are
-    not kept: each end (z, w) goes on to (z - c w, t^h w), rescaled the same
-    way, and is compared in :func:`chordal_hom`'s arithmetic with each
-    target's image of its start; the result is then :func:`_max_error`'s,
-    the worst gap per target and the number of points dropped.
+    Every image is rescaled so its larger coordinate is 1; an orbit ends
+    in None at an image whose coordinates are both 0 or one of which is not
+    finite.  Given ``frame`` = (c, t^h), the orbits are not kept: each end
+    (z, w) goes on to (z - c w, t^h w), rescaled the same way, and is
+    compared in :func:`chordal_hom`'s arithmetic with each target's image
+    of its start; the result is then :func:`_max_error`'s, the worst gap
+    per target and the number of points dropped.
 
     The powers z^i and w^k are repeated products from 1, and each term is
     (a_i * z^i) * w^(d-i), summed upward in i from 0, as in the dense loop
@@ -120,7 +121,8 @@ def _hom_orbits(num_vals: Sequence[complex], den_vals: Sequence[complex],
     alike images or to None in both loops.
     (a) Every power z^i, w^k (i, k <= d) finite.  A left-out term is then
     (0 * z^i) * w^k = +-0, and adding +-0 to x gives a double alike to x.
-    The sums, hence m and the images, are alike.
+    The sums, hence their absolute values, m, the test for the end and the
+    images, are alike.
     (b) Some power not finite.  A product one of whose factors has an
     infinite or NaN part has one too, so z^d or w^d is not finite.  The
     dense numerator holds the terms (a_d z^d) * 1 and (a_0 * 1) w^d, one of
@@ -159,7 +161,8 @@ def _hom_orbits(num_vals: Sequence[complex], den_vals: Sequence[complex],
                 nw += b * zp[i] * wp[k]
             az, aw = abs(nz), abs(nw)
             m = aw if aw > az else az
-            if not 0.0 < m < inf:
+            # m is NaN with az, but a NaN aw loses to az
+            if not 0.0 < m < inf or aw != aw:
                 break
             z, w = nz / m, nw / m
         else:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from rescaling import (AssertionFailed, classify_limit, multiple_fixed_point,
+from rescaling import (AssertionFailed, classify_limit, find_cycle,
+                       multiple_fixed_point, parse_family, parse_frame,
                        pcf_check, polynomial_like, quadratic_dichotomy_report)
 from .support import cycle, reduced
 
@@ -65,6 +66,18 @@ def test_pcf_iteration_cap():
     assert set(rep.orbits.values()) == {"iteration-cap"}
 
 
+def test_pcf_critical_points_outside_qi_are_unknown():
+    # the Wronskian z^2 - i has no root in Q(i): no orbit is followed
+    rep = pcf_check(reduced("(z^2 + i)/z"))
+    assert rep.status == "Unknown" and rep.postcritical is None
+    assert rep.orbits == {"roots of z^2 - i": "outside Q(i)"}
+    # not PCF: both critical orbits converge to the attracting fixed point
+    # 1 without repeating, which no float orbit can tell from a repeat
+    rep = pcf_check(reduced("(z^2 - 3*z - 3)/(-3*z - 2)"))
+    assert rep.status == "Unknown"
+    assert rep.orbits == {"roots of z^2 + 4/3*z + 1": "outside Q(i)"}
+
+
 def test_classify_limit_bundles_predicates():
     c = classify_limit(reduced("z^2 + 1"))
     assert c.degree == 2
@@ -97,6 +110,18 @@ def test_dichotomy_case_ii_single_cycle():
     rep = quadratic_dichotomy_report([cycle("quad0", "1")], 2)
     assert rep.case == "ii"
     assert rep.periods == (2,)
+
+
+def test_dichotomy_case_ii_with_unknown_pcf_verdict():
+    # Milnor's normal form with multipliers 1/t and i: a period-4 cycle
+    # whose limit (z^2 + i)/z has its critical points outside Q(i)
+    fam = parse_family("z*(z + 1/t)/(i*z + 1)")
+    rep = quadratic_dichotomy_report([find_cycle(fam, parse_frame("-1/2"))],
+                                     2)
+    assert rep.case == "ii" and rep.periods == (4,)
+    assert rep.classifications[0].map_str == "(z^2 + i)/z"
+    assert rep.classifications[0].pcf.status == "Unknown"
+    assert rep.non_pcf_count == 0
 
 
 def test_dichotomy_none_without_long_cycles():

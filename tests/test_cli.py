@@ -485,14 +485,17 @@ def test_verify_loads_no_numpy(argv):
     assert out.split() == ["0", "False", "False"]
 
 
-@pytest.mark.parametrize("family", [LATTES, QUAD0], ids=["lattes", "quad0"])
+@pytest.mark.parametrize("family", [LATTES, QUAD0, "z*(z + 1/t)/(i*z + 1)"],
+                         ids=["lattes", "quad0", "mil4"])
 def test_report_loads_no_sympy(family):
-    # the limit maps' exact roots come from p-adic lifting in cpoly
+    # the limit maps' exact roots come from p-adic lifting in cpoly, and a
+    # critical point outside Q(i) is reported, not found numerically
     src = str(Path(rescaling.__file__).resolve().parents[1])
     probe = ("import sys, contextlib, io, rescaling.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = rescaling.cli.main(['report'] + sys.argv[1:])\n"
-             "print(code, sorted({'sympy', 'mpmath'} & set(sys.modules)))")
+             "print(code, sorted({'sympy', 'mpmath', 'numpy'}"
+             " & set(sys.modules)))")
     argv = [family, "--max-denominator", "7", "--dichotomy"]
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
                          check=True, capture_output=True, text=True).stdout

@@ -1,4 +1,5 @@
-"""Every module-level import is used, and every error class is raised.
+"""Every module-level import is used, every error class is raised, and
+every configuration constant is imported.
 
 No lint tool is a dependency, so this scans the sources with ``ast``.  A
 package ``__init__.py`` is skipped: its imports are re-exports.
@@ -79,3 +80,42 @@ def test_every_error_class_has_a_raiser():
     raised = set().union(*(raised_names(p.read_text())
                            for p in package.glob("*.py")))
     assert classes and sorted(classes - raised) == []
+
+
+def assigned_names(source: str):
+    """The names that module-level assignments bind."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def config_imports(source: str):
+    """The names a module imports from its package's ``config``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[-1] == "config"
+            for alias in node.names}
+
+
+def test_scan_finds_config_constants_and_imports():
+    assert assigned_names("A = 1\nB: int = 2\nc, d = 3, 4\n"
+                          "def f():\n    E = 5\n") == {"A", "B"}
+    assert config_imports("from .config import A\nfrom . import x\n"
+                          "from rescaling.config import B\n"
+                          "def f():\n    from .config import C\n"
+                          ) == {"A", "B", "C"}
+
+
+def test_every_config_constant_is_imported():
+    package = ROOT / "src/rescaling"
+    constants = assigned_names((package / "config.py").read_text())
+    imported = set().union(*(config_imports(p.read_text())
+                             for p in package.glob("*.py")))
+    assert constants and sorted(constants - imported) == []

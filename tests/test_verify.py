@@ -163,7 +163,8 @@ def test_float_orbit_keeps_its_bits(key, seed, ray):
 
 def _dense_hom_orbits(num_vals, den_vals, starts, steps):
     """``verify._hom_orbits`` before it skipped zero terms: every term
-    (a_i * z^i) * w^(d-i), summed upward from 0."""
+    (a_i * z^i) * w^(d-i), summed upward from 0.  An orbit ends in None
+    where both coordinates are 0 or one is not finite."""
     one = 1.0 + 0j
     d = len(num_vals) - 1
     coeffs = list(zip(num_vals, den_vals, range(d, -1, -1)))
@@ -181,7 +182,8 @@ def _dense_hom_orbits(num_vals, den_vals, starts, steps):
                 new_w += b * zn * wn
                 zn *= z
             m = max(abs(new_z), abs(new_w))
-            if m == 0.0 or not isfinite(m):
+            if m == 0.0 or not (isfinite(abs(new_z))
+                                and isfinite(abs(new_w))):
                 out.append(None)
                 break
             z, w = new_z / m, new_w / m
@@ -230,6 +232,11 @@ def _sparse_maps(draw):
 # 1/z^2 at z = 1e200: z^2 overflows, and the dense numerator's zero term
 # 0 * z^2 is NaN; only the finiteness test of z^d ends this orbit in None
 @example(([1 + 0j, 0j, 0j], [0j, 0j, 1 + 0j]), [(1e200 + 0j, 1 + 0j)], 1)
+# (1e200 + 1e200i) * 1e150 overflows to inf + inf*i, and times w = 1 that
+# is NaN + NaN*i: abs() of it loses to |2| in the max, so only the NaN test
+# ends this orbit in None
+@example(([1 + 0j, 0j, 1e-300 + 0j], [0j, 1e200 + 1e200j, 0j]),
+         [(1e150 + 0j, 1 + 0j)], 1)
 def test_sparse_float_loop_matches_dense(maps, starts, steps):
     num, den = maps
     got = verify._hom_orbits(num, den, starts, steps)
