@@ -11,7 +11,6 @@ degenerates).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import inf, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -27,90 +26,104 @@ from .puiseux import PuiseuxSeries
 
 def smul(p: Sequence[PuiseuxSeries],
          q: Sequence[PuiseuxSeries]) -> List[PuiseuxSeries]:
-    """Product of two series polynomials on Python ints.
+    """Product of two series polynomials on Python ints: one pack, one
+    :func:`_mulsum`, one unpack.
 
     The result equals, in terms and in ``trunc``, that of the loop which
     forms one series product a_i * b_j per pair and sums the products of
     each output degree with series ``+``.
+    """
+    if not p or not q:
+        return []
+    r = _scale(list(p) + list(q))
+    (pp,), dp = _ints([p], r)
+    (qq,), dq = _ints([q], r)
+    return _unpack([_mulsum([(pp, qq)])], r, dp * dq)[0]
+
+
+def _mulsum(pairs) -> List[Tuple[list, object]]:
+    """The sum of the products p q over ``pairs``, on packed entries.
+
+    An entry is (terms, top): terms (e r, D re, D im) in increasing e, for
+    an exponent scale r and a coefficient denominator D, and top = trunc r
+    or ``inf``; no term has a zero coefficient, so an entry with no terms
+    and top ``inf`` is identically zero.  Each polynomial of a pair is over
+    one D, so their product is over D_p D_q; the caller gives every pair of
+    one call the same D_p D_q.  The result, over that denominator, equals
+    term for term and in ``trunc`` the loop that forms each product of
+    series, a_i * b_j, and sums all products of one output degree, over
+    all pairs, with series ``+``.
 
     Truncation.  The loop forms each pair product a_i b_j, known mod t^T_ij
     with T_ij = min(trunc a_i + v_low b_j, trunc b_j + v_low a_i), and sums
     the products of one output degree k; a sum is known mod the least
     truncation of its summands.  So entry k is known mod t^T_k, where T_k
-    is the minimum of T_ij over i + j = k.  Every product and every partial
-    sum drops only terms at or above its own truncation, which is >= T_k,
-    and the last sum (or the one product, when k has a single pair) has
-    truncation exactly T_k.  So a term at exponent e < T_k is never dropped
-    before the end, and one at e >= T_k never survives it.  A coefficient
-    dropped because it summed to zero adds nothing to later sums, and exact
-    addition does not depend on order.  Hence entry k is the sum of all
-    term products a_ie b_jf t^(e+f) with e + f < T_k, zeros removed, mod
-    t^T_k: which is what is accumulated here, with each product outside
-    that range skipped before it is formed.
+    is the minimum of T_ij over all pairs and i + j = k.  Every product and
+    every partial sum drops only terms at or above its own truncation,
+    which is >= T_k, and the last sum (or the one product, when k has a
+    single term) has truncation exactly T_k.  So a term at exponent e < T_k
+    is never dropped before the end, and one at e >= T_k never survives it.
+    A coefficient dropped because it summed to zero adds nothing to later
+    sums, and exact addition does not depend on order.  Hence entry k is
+    the sum of all term products a_ie b_jf t^(e+f) with e + f < T_k, zeros
+    removed, mod t^T_k: which is what is accumulated here, with each
+    product outside that range skipped before it is formed.  An identically
+    zero factor gives T_ij = inf and no terms, as its series product does.
 
     Packing.  With r the lcm of the denominators of all exponents and
-    finite truncations, an exponent e is the int e r, and so is each T_k.
-    With D the lcm of the coefficient denominators of one polynomial, a
-    coefficient c is the Gaussian integer D c.  A pair product is then an
-    int product over D_p D_q, and each output coefficient is reduced to
-    lowest terms once.
+    finite truncations, an exponent e is the int e r, and so is each T_k;
+    scaling by r > 0 keeps every comparison.  Over one denominator the
+    Gaussian integers of a product multiply, and those of a sum add, with
+    no rescaling; a coefficient is zero exactly when both its ints are.
+    :func:`_unpack` reduces each coefficient to lowest terms once, which
+    gives the Gaussian rational the loop holds.
     """
-    if not p or not q:
-        return []
-    n = len(p) + len(q) - 1
-    r = lcm(*(e.denominator for c in chain(p, q) for e, _ in c.terms),
-            *(c.trunc.denominator for c in chain(p, q) if c.trunc != inf))
-    pp, dp = _pack(p, r)
-    qq, dq = _pack(q, r)
-    # T_k r as an int.  Only a finite trunc against a nonzero partner gives
-    # a finite T_ij, so exact polynomials skip this loop.
+    n = max(len(p) + len(q) for p, q in pairs) - 1
+    # T_k r.  Only a finite trunc against a nonzero partner gives a finite
+    # T_ij, so exact polynomials skip this loop.
     limits = [inf] * n
-    for x, y in ((p, q), (q, p)):
-        lows = [(j, _scaled(c.val_lower(), r))
-                for j, c in enumerate(y) if not c.is_zero]
-        for i, c in enumerate(x):
-            if c.trunc != inf:
-                top = _scaled(c.trunc, r)
-                for j, low in lows:
-                    if top + low < limits[i + j]:
-                        limits[i + j] = top + low
+    for p, q in pairs:
+        for x, y in ((p, q), (q, p)):
+            lows = [(j, ts[0][0] if ts else top)
+                    for j, (ts, top) in enumerate(y) if ts or top != inf]
+            for i, (_, top) in enumerate(x):
+                if top != inf:
+                    for j, low in lows:
+                        if top + low < limits[i + j]:
+                            limits[i + j] = top + low
     acc: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-    for i, terms_a in enumerate(pp):
-        if not terms_a:
-            continue
-        for j, terms_b in enumerate(qq):
-            if not terms_b:
+    for p, q in pairs:
+        for i, (terms_a, _) in enumerate(p):
+            if not terms_a:
                 continue
-            k = i + j
-            lim, bucket = limits[k], acc[k]
-            first_b = terms_b[0][0]
-            for ea, ar, ai in terms_a:
-                if ea + first_b >= lim:
-                    break
-                for eb, br, bi in terms_b:
-                    e = ea + eb
-                    if e >= lim:
+            for j, (terms_b, _) in enumerate(q):
+                if not terms_b:
+                    continue
+                k = i + j
+                lim, bucket = limits[k], acc[k]
+                first_b = terms_b[0][0]
+                for ea, ar, ai in terms_a:
+                    if ea + first_b >= lim:
                         break
-                    slot = bucket.get(e)
-                    if slot is None:
-                        bucket[e] = [ar * br - ai * bi, ar * bi + ai * br]
-                    else:
-                        slot[0] += ar * br - ai * bi
-                        slot[1] += ar * bi + ai * br
-    den = dp * dq
-    exps: Dict[int, Fraction] = {}
-    out = []
-    for k in range(n):
-        terms = []
-        for e, (re, im) in sorted(acc[k].items()):
-            if re or im:
-                ex = exps.get(e)
-                if ex is None:
-                    ex = exps[e] = Fraction(e, r)
-                terms.append((ex, GaussianRational.from_ints(re, im, den)))
-        trunc = inf if limits[k] == inf else Fraction(limits[k], r)
-        out.append(PuiseuxSeries(tuple(terms), trunc))
-    return out
+                    for eb, br, bi in terms_b:
+                        e = ea + eb
+                        if e >= lim:
+                            break
+                        slot = bucket.get(e)
+                        if slot is None:
+                            bucket[e] = [ar * br - ai * bi, ar * bi + ai * br]
+                        else:
+                            slot[0] += ar * br - ai * bi
+                            slot[1] += ar * bi + ai * br
+    return [([(e, re, im) for e, (re, im) in sorted(a.items()) if re or im],
+             top) for a, top in zip(acc, limits)]
+
+
+def _scale(coeffs: Sequence[PuiseuxSeries], *extra: int) -> int:
+    """The lcm r of the exponent and finite truncation denominators."""
+    return lcm(*(e.denominator for c in coeffs for e, _ in c.terms),
+               *(c.trunc.denominator for c in coeffs if c.trunc != inf),
+               *extra)
 
 
 def _scaled(e: Fraction, r: int) -> int:
@@ -118,11 +131,24 @@ def _scaled(e: Fraction, r: int) -> int:
     return e.numerator * (r // e.denominator)
 
 
-def _pack(p: Sequence[PuiseuxSeries], r: int):
-    """Each entry's terms as (e r, D re, D im) ints, and the common D."""
-    den = lcm(*(g.d for c in p for _, g in c.terms))
-    return [[(_scaled(e, r), g.x * (k := den // g.d), g.y * k)
-             for e, g in c.terms] for c in p], den
+def _ints(polys, r: int):
+    """The polynomials' entries packed as in :func:`_mulsum`, over one D."""
+    den = lcm(*(g.d for p in polys for c in p for _, g in c.terms))
+    return [[([(_scaled(e, r), g.x * (k := den // g.d), g.y * k)
+               for e, g in c.terms],
+              c.trunc if c.trunc == inf else _scaled(c.trunc, r))
+             for c in p] for p in polys], den
+
+
+def _unpack(polys, r: int, den: int) -> List[List[PuiseuxSeries]]:
+    """Packed polynomials over r and ``den`` as series polynomials."""
+    exps: Dict[int, Fraction] = {}
+    return [[PuiseuxSeries(
+        tuple((exps[e] if e in exps else exps.setdefault(e, Fraction(e, r)),
+               GaussianRational.from_ints(re, im, den))
+              for e, re, im in terms),
+        inf if top == inf else Fraction(top, r)) for terms, top in p]
+        for p in polys]
 
 
 class AffineFrame:
@@ -170,10 +196,6 @@ class MapL:
 
     def coeffs(self) -> Tuple[PuiseuxSeries, ...]:
         return self.num + self.den
-
-    def cap_all(self, trunc) -> MapL:
-        return MapL([c.cap(trunc) for c in self.num],
-                    [c.cap(trunc) for c in self.den])
 
     def scaled_function(self, a) -> MapL:
         """The family t^a * (P/Q)."""
@@ -330,58 +352,93 @@ def _divide_out(p: cpoly.Poly, h: cpoly.Poly) -> cpoly.Poly:
 # -- affine changes of variable ---------------------------------------------
 
 
+def _compose(outer, inner):
+    """outer(inner(z)) on packed families (num, den): the sums over i of
+    a_i p^i q^(m-i) and b_i p^i q^(m-i), with m = len(num) - 1.
+
+    The powers p^i and q^j are repeated products from 1, and each basis
+    p^i q^(m-i) one more product, each a :func:`_mulsum` of one pair, as
+    the loop over series forms them; so each is that loop's polynomial.
+    Shared denominators: the inner p and q are over one D, so every basis
+    is over D^m, and with the outer coefficients over their own D_o,
+    every summand is over D^m D_o.  Each sum over i is then one
+    :func:`_mulsum`, equal to the series sum of the products, and the
+    result is over D^m D_o.  A ``den`` shorter than ``num`` stands for
+    zeros at the top, which add nothing.
+    """
+    (onum, oden), (inum, iden) = outer, inner
+    m = len(onum) - 1
+    p_pow = q_pow = [[([(0, 1, 0)], inf)]]
+    for _ in range(m):
+        p_pow = p_pow + [_mulsum([(p_pow[-1], inum)])]
+        q_pow = q_pow + [_mulsum([(q_pow[-1], iden)])]
+    basis = [_mulsum([(p_pow[i], q_pow[m - i])]) for i in range(m + 1)]
+    return [_mulsum([(b, [c]) for b, c in zip(basis, o)])
+            for o in (onum, oden)]
+
+
+def _frame_ints(fam: MapL, frame: AffineFrame):
+    """The exponent scale r, fam packed over its D_f, and c + t^h w over
+    1 packed over the center's D_c, with D_f and D_c."""
+    r = _scale(fam.coeffs() + (frame.c,), frame.h.denominator)
+    f, df = _ints([fam.num, fam.den], r)
+    ((c,),), dc = _ints([[frame.c]], r)
+    one = ([(0, dc, 0)], inf)
+    return r, f, df, ([c, ([(_scaled(frame.h, r), dc, 0)], inf)], [one]), dc
+
+
 def precompose_affine(fam: MapL, frame: AffineFrame) -> MapL:
     """The family f(c(t) + t^h w), as a family in w."""
-    slope = PuiseuxSeries.t_power(frame.h)
-    lin = [frame.c, slope]  # c + t^h w
-    powers: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one()]]
-    for _ in range(fam.degree):
-        powers.append(smul(powers[-1], lin))
-    num: List[PuiseuxSeries] = []
-    den: List[PuiseuxSeries] = []
-    for i in range(fam.degree + 1):
-        num = cpoly.padd(num, smul(powers[i], [fam.num[i]]))
-        den = cpoly.padd(den, smul(powers[i], [fam.den[i]]))
-    return MapL(num, den)
-
-
-def postcompose_affine(slope: PuiseuxSeries, intercept: PuiseuxSeries,
-                       fam: MapL) -> MapL:
-    """The family slope * f + intercept."""
-    num = cpoly.padd(smul(fam.num, [slope]), smul(fam.den, [intercept]))
-    return MapL(num, fam.den)
+    r, f, df, lin, dc = _frame_ints(fam, frame)
+    return MapL(*_unpack(_compose(f, lin), r, df * dc ** fam.degree))
 
 
 def conjugate(fam: MapL, frame: AffineFrame) -> MapL:
-    """M^-1 o f o M for the affine frame M."""
-    inner = precompose_affine(fam, frame)
-    s = PuiseuxSeries.t_power(-frame.h)
-    b = -frame.c * s
-    return postcompose_affine(s, b, inner)
+    """M^-1 o f o M for the affine frame M.
+
+    M^-1 is the degree-1 family (b + s w)/1, with s = t^-h and b = -c t^-h
+    over D_c, composed after f o M = P/Q: that gives s P + b Q over Q, with
+    the series products and sum of the postcomposition.
+    """
+    r, f, df, lin, dc = _frame_ints(fam, frame)
+    hr = _scaled(frame.h, r)
+    (cterms, ctop), one = lin[0][0], lin[1][0]
+    b = ([(e - hr, -x, -y) for e, x, y in cterms], ctop - hr)
+    inv = ([b, ([(-hr, dc, 0)], inf)], [one])
+    return MapL(*_unpack(_compose(inv, _compose(f, lin)), r,
+                         df * dc ** (fam.degree + 1)))
 
 
 def compose_families(outer: MapL, inner: MapL,
                      window=DEFAULT_TRUNC) -> MapL:
-    """outer(inner(z)), truncated to ``window`` above the least valuation."""
+    """outer(inner(z)), truncated to ``window`` above the least valuation.
+
+    The cap.  :class:`MapL` trims the top positions where both entries
+    are identically zero and pads to one length with such entries, whose
+    ``val_lower`` is inf; so mu, the least ``val_lower`` of all entries,
+    is the same before and after the trim.  :meth:`PuiseuxSeries.cap` at
+    L = mu + window keeps an entry with trunc <= L, and cuts any other to
+    its terms below L with trunc L; so does the loop here, on ints scaled
+    by r.  The trim comes first because a capped zero entry is no longer
+    identically zero.
+    """
     d = outer.degree * inner.degree
     if d > ITERATE_DEGREE_CAP:
         raise DegreeCapExceeded(
             f"composition degree {d} exceeds cap {ITERATE_DEGREE_CAP}")
-    p_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one()]]
-    q_pow: List[List[PuiseuxSeries]] = [[PuiseuxSeries.one()]]
-    for _ in range(outer.degree):
-        p_pow.append(smul(p_pow[-1], list(inner.num)))
-        q_pow.append(smul(q_pow[-1], list(inner.den)))
-    m = outer.degree
-    num: List[PuiseuxSeries] = []
-    den: List[PuiseuxSeries] = []
-    for i in range(m + 1):
-        basis = smul(p_pow[i], q_pow[m - i])
-        num = cpoly.padd(num, smul(basis, [outer.num[i]]))
-        den = cpoly.padd(den, smul(basis, [outer.den[i]]))
-    out = MapL(num, den)
-    mu = min(c.val_lower() for c in out.coeffs())
-    return out.cap_all(mu + window)
+    r = _scale(outer.coeffs() + inner.coeffs())
+    o, do = _ints([outer.num, outer.den], r)
+    i, di = _ints([inner.num, inner.den], r)
+    polys = _compose(o, i)  # num and den of one length
+    n = max((k + 1 for p in polys for k, (ts, top) in enumerate(p)
+             if ts or top != inf), default=1)
+    polys = [p[:n] for p in polys]
+    lim = min(ts[0][0] if ts else top for p in polys for ts, top in p) \
+        + window * r
+    return MapL(*_unpack([[(ts, top) if top <= lim else
+                           ([x for x in ts if x[0] < lim], lim)
+                           for ts, top in p] for p in polys],
+                         r, do * di ** outer.degree))
 
 
 def iterate_family(fam: MapL, n: int, window=DEFAULT_TRUNC) -> MapL:

@@ -192,12 +192,48 @@ def _hom_orbits(num_vals: Sequence[complex], den_vals: Sequence[complex],
     return out if frame is None else (worst, dropped)
 
 
-def _images(g: ReducedMap, points: Sequence[complex]) -> List[Optional[Hom]]:
-    """Each point's image under g, normalized as in :func:`_hom_orbits`."""
-    d = max(cpoly.degree(g.num), cpoly.degree(g.den), 0)
-    num = [c.to_complex() for c in g.num] + [0j] * (d + 1 - len(g.num))
-    den = [c.to_complex() for c in g.den] + [0j] * (d + 1 - len(g.den))
-    return _hom_orbits(num, den, zip(points, repeat(1.0 + 0j)), 1)
+def _images(maps: Sequence[ReducedMap], points: Sequence[complex]
+            ) -> List[List[Optional[Hom]]]:
+    """Each point's image under each map, normalized as in
+    :func:`_hom_orbits`.
+
+    One pass over the points forms each point's powers z^i once for all
+    the maps.  Every start has w = 1, and each power w^k is 1 + 0j
+    exactly, so a term (a_i * z^i) * w^(d-i) is (a_i * z^i) * (1 + 0j).
+    Each map then makes one step of :func:`_hom_orbits` on its own
+    coefficients, with the same operations in the same order, so every
+    image is bit for bit the one that a pass of that map alone gives.
+    """
+    one = 1.0 + 0j
+    homs, top = [], 0
+    for g in maps:
+        d = max(cpoly.degree(g.num), cpoly.degree(g.den), 0)
+        top = max(top, d)
+        num = [c.to_complex() for c in g.num] + [0j] * (d + 1 - len(g.num))
+        den = [c.to_complex() for c in g.den] + [0j] * (d + 1 - len(g.den))
+        homs.append(([(a, i) for i, a in enumerate(num) if a],
+                     [(b, i) for i, b in enumerate(den) if b],
+                     d if not (num[0] and num[d]) else None, []))
+    zp = [one] * (top + 1)
+    for z in points:
+        zn = one
+        for i in range(1, top + 1):
+            zp[i] = zn = zn * z
+        for num, den, guard, out in homs:
+            # as in _hom_orbits: x - x == 0 exactly when x is finite
+            if guard is not None and not zp[guard] - zp[guard] == 0:
+                out.append(None)
+                continue
+            nz = nw = 0j
+            for a, i in num:
+                nz += a * zp[i] * one
+            for b, i in den:
+                nw += b * zp[i] * one
+            az, aw = abs(nz), abs(nw)
+            m = aw if aw > az else az
+            out.append((nz / m, nw / m) if 0.0 < m < inf and aw == aw
+                       else None)
+    return [out for *_, out in homs]
 
 
 def _step_holes(step_limit: ReducedMap) -> List[object]:
@@ -282,7 +318,7 @@ def verify_rescaling(fam: MapL, cycle: RescalingCycle,
     # of the smallest s, skipping only points where its own image degenerates
     shifted = ReducedMap(cpoly.padd(list(limit.num), list(limit.den)),
                          list(limit.den))
-    lim_imgs, ctrl_imgs = _images(limit, included), _images(shifted, included)
+    lim_imgs, ctrl_imgs = _images([limit, shifted], included)
     errors: List[float] = []
     t_samples: List[float] = []
     n_excluded = len(grid) - len(included)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
-                       PuiseuxSeries,
+                       PuiseuxSeries, cpoly,
                        compose_families, compose_reduced, conjugate,
                        gauss_normalize, iterate_family, maps, parse_family,
                        parse_frame, precompose_affine, reduce_family,
@@ -157,21 +157,114 @@ def test_smul_kernel_matches_loop_on_cancellation(a, b):
     assert not fast[1].terms
 
 
-def test_smul_kernel_matches_loop_on_quad0_iterates(monkeypatch):
-    def iterates():
-        g = conjugate(family("quad0"), parse_frame("1"))
-        out = [g]
-        for _ in range(4):
-            out.append(compose_families(g, out[-1], DEFAULT_TRUNC))
-        return out
+# -- the packed pipeline against series objects -----------------------------
 
-    fast = iterates()
-    monkeypatch.setattr(maps, "smul", _smul_loop)
-    slow = iterates()
-    for ell, (f, s) in enumerate(zip(fast, slow), start=1):
-        assert f.degree == s.degree == 2 ** ell
-        for a, b in zip(f.coeffs(), s.coeffs()):
-            _same([a], [b])
+def _ref_precompose(fam, frame):
+    """f(c + t^h w) with one series product per pair and series sums."""
+    lin = [frame.c, t_pow(frame.h)]
+    powers = [[one()]]
+    for _ in range(fam.degree):
+        powers.append(_smul_loop(powers[-1], lin))
+    num, den = [], []
+    for i in range(fam.degree + 1):
+        num = cpoly.padd(num, _smul_loop(powers[i], [fam.num[i]]))
+        den = cpoly.padd(den, _smul_loop(powers[i], [fam.den[i]]))
+    return MapL(num, den)
+
+
+def _ref_conjugate(fam, frame):
+    inner = _ref_precompose(fam, frame)
+    s = t_pow(-frame.h)
+    num = cpoly.padd(_smul_loop(inner.num, [s]),
+                     _smul_loop(inner.den, [-frame.c * s]))
+    return MapL(num, inner.den)
+
+
+def _ref_compose(outer, inner, window):
+    """outer(inner), each coefficient capped by ``PuiseuxSeries.cap`` at
+    the least valuation bound plus ``window``."""
+    p_pow, q_pow = [[one()]], [[one()]]
+    for _ in range(outer.degree):
+        p_pow.append(_smul_loop(p_pow[-1], list(inner.num)))
+        q_pow.append(_smul_loop(q_pow[-1], list(inner.den)))
+    m = outer.degree
+    num, den = [], []
+    for i in range(m + 1):
+        basis = _smul_loop(p_pow[i], q_pow[m - i])
+        num = cpoly.padd(num, _smul_loop(basis, [outer.num[i]]))
+        den = cpoly.padd(den, _smul_loop(basis, [outer.den[i]]))
+    out = MapL(num, den)
+    cap = min(c.val_lower() for c in out.coeffs()) + window
+    return MapL([c.cap(cap) for c in out.num], [c.cap(cap) for c in out.den])
+
+
+def _ref_iterate(fam, n, window):
+    out = fam
+    for _ in range(n - 1):
+        out = _ref_compose(fam, out, window)
+    return out
+
+
+def _same_family(fast, slow):
+    assert fast.degree == slow.degree
+    _same(list(fast.coeffs()), list(slow.coeffs()))
+
+
+small_polys = st.lists(series, min_size=1, max_size=3)
+families = st.builds(MapL, small_polys, small_polys)
+# fractional zoom exponents and centers with several terms, some truncated
+frames = st.builds(AffineFrame, exponents, series)
+windows = st.sampled_from([16, 32])
+
+
+@given(families, frames)
+def test_packed_precompose_and_conjugate_match_series(fam, frame):
+    _same_family(precompose_affine(fam, frame), _ref_precompose(fam, frame))
+    _same_family(conjugate(fam, frame), _ref_conjugate(fam, frame))
+
+
+@given(families, families, windows)
+def test_packed_compose_matches_series(outer, inner, window):
+    _same_family(compose_families(outer, inner, window),
+                 _ref_compose(outer, inner, window))
+
+
+@given(st.builds(MapL, st.lists(series, min_size=1, max_size=2),
+                 st.lists(series, min_size=1, max_size=2)),
+       frames, st.integers(1, 3), windows)
+def test_packed_iterate_of_a_conjugate_matches_series(fam, frame, n, window):
+    g = conjugate(fam, frame)
+    _same_family(iterate_family(g, n, window), _ref_iterate(g, n, window))
+
+
+def test_smul_kernel_matches_loop_on_quad0_iterates():
+    # compose_families does not call smul, so its reference is the whole
+    # series composition, not smul swapped for the loop
+    g = conjugate(family("quad0"), parse_frame("1"))
+    _same_family(g, _ref_conjugate(family("quad0"), parse_frame("1")))
+    fast = slow = g
+    for ell in range(2, 6):
+        fast = compose_families(g, fast, DEFAULT_TRUNC)
+        slow = _ref_compose(g, slow, DEFAULT_TRUNC)
+        assert fast.degree == 2 ** ell
+        _same_family(fast, slow)
+
+
+def test_compose_builds_one_series_per_coefficient(monkeypatch):
+    # each product used to be unpacked into series: 1,076 of them here
+    g = conjugate(family("quad0"), parse_frame("1"))
+    fifth = iterate_family(g, 5)
+    built = []
+    init = PuiseuxSeries.__init__
+
+    def counting(self, terms, trunc):
+        built.append(1)
+        init(self, terms, trunc)
+
+    monkeypatch.setattr(PuiseuxSeries, "__init__", counting)
+    out = compose_families(g, fifth)
+    assert len(out.coeffs()) == 130
+    assert len(built) <= 2 * 130
 
 
 def test_resultant_fixed_values():
@@ -288,7 +381,6 @@ laurent = st.lists(st.tuples(st.integers(-2, 3).map(lambda k: Fraction(k, 2)),
 @given(st.lists(laurent, min_size=2, max_size=7),
        st.lists(laurent, min_size=2, max_size=7))
 def test_resultant_series_matches_subset_expansion(num, den):
-    from rescaling import cpoly
     p, q = cpoly.trim(num), cpoly.trim(den)
     assume(len(p) > 1 and len(q) > 1)
     expected = _series_det(cpoly.sylvester(p, q, PuiseuxSeries.zero()))

@@ -1,6 +1,7 @@
 """Numeric spot checks of cycle limits on the sphere."""
 
-from math import ceil, isfinite
+from itertools import repeat
+from math import ceil, inf, isfinite
 
 import mpmath
 import pytest
@@ -243,6 +244,34 @@ def test_sparse_float_loop_matches_dense(maps, starts, steps):
     ref = _dense_hom_orbits(num, den, starts, steps)
     assert len(got) == len(ref)
     assert all(map(_alike, got, ref)), (got, ref)
+
+
+def _images_alone(g, points):
+    """``verify._images`` of one map, in a pass of its own."""
+    d = max(cpoly.degree(g.num), cpoly.degree(g.den), 0)
+    num = [c.to_complex() for c in g.num] + [0j] * (d + 1 - len(g.num))
+    den = [c.to_complex() for c in g.den] + [0j] * (d + 1 - len(g.den))
+    return verify._hom_orbits(num, den, zip(points, repeat(1.0 + 0j)), 1)
+
+
+def _control(g):
+    return ReducedMap(cpoly.padd(list(g.num), list(g.den)), list(g.den))
+
+
+@pytest.mark.parametrize("text,other", [
+    ("z^2", None), ("1/z^2", None), ("(z^2+z-1)/(z-1)", None),
+    ("-4/z^4", None), ("(z^2 + i)/z", None), ("z^2", "1/z^6")])
+def test_one_pass_images_keep_each_maps_bits(text, other):
+    # the limit and its control share one pass over the grid; each image,
+    # the sign of a zero included, is the one a pass of its own gives
+    g = reduced(text)
+    h = _control(g) if other is None else reduced(other)
+    points = sphere_grid(500) + [0j, complex(-0.0, 0.0), 1e-200 + 0j,
+                                 1e200 + 0j, 1e160j, complex(inf, 0.0)]
+    got = verify._images([g, h], points)
+    ref = [_images_alone(g, points), _images_alone(h, points)]
+    assert [list(map(repr, imgs)) for imgs in got] \
+        == [list(map(repr, imgs)) for imgs in ref]
 
 
 # -- the int orbit against an mpmath reference -------------------------------
