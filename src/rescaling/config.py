@@ -7,8 +7,7 @@ inside the library.
 
 from __future__ import annotations
 
-#: Infinite expansions are cut below this exponent by default, and iterates
-#: are first kept within this window above their least valuation.
+#: Infinite expansions are cut below this exponent by default.
 DEFAULT_TRUNC = 16
 
 #: Hard cap on deg(f)**n for iterate().
@@ -39,5 +38,6 @@ VERIFY_HOLE_MARGIN = 0.1
 VERIFY_TOL = 1e-3
 VERIFY_MAX_DROP = 0.10
 
-#: How many times an iterate check doubles its window before giving up.
-WINDOW_DOUBLINGS = 4
+#: The widest window, above the least valuation, at which an iterate check
+#: keeps its iterates before giving up.
+ITERATE_WINDOW_CAP = 256

@@ -26,8 +26,8 @@ class PrecisionExhausted(RescalingError):
     """A computation needed series terms beyond the stored truncation.
 
     Families and frames are exact, so only a truncated series built by a
-    caller, or an iterate window that stays too narrow after
-    ``config.WINDOW_DOUBLINGS`` doublings, ends here.
+    caller, or an iterate window that stays too narrow up to
+    ``config.ITERATE_WINDOW_CAP``, ends here.
     """
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import inf
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, DEFAULT_TRUNC,
-                     RAMIFICATION_CAP, WINDOW_DOUBLINGS)
+from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, ITERATE_WINDOW_CAP,
+                     RAMIFICATION_CAP)
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      PrecisionExhausted, RamificationCapExceeded)
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
@@ -378,12 +378,31 @@ def find_cycle(fam: MapL, seed: Union[AffineFrame, FrameClass],
         f"no frame class repeated within {max_steps} advances from {fc}")
 
 
-def _widening(check):
-    """``check(window)`` at the first of the windows DEFAULT_TRUNC * 2^k,
-    k = 0..WINDOW_DOUBLINGS, that keeps enough of the iterates; the last
-    window's :class:`PrecisionExhausted` is raised."""
-    window = DEFAULT_TRUNC
-    for _ in range(WINDOW_DOUBLINGS):
+def _widening(g: MapL, check):
+    """``check(window)`` at the first window that keeps enough of the
+    iterates of g; the last window's :class:`PrecisionExhausted` is raised.
+
+    The windows are the powers of two from the least one at or above the
+    spread of g (the greatest minus the least valuation of its nonzero
+    coefficients) up to ``ITERATE_WINDOW_CAP``.  The first window sets only
+    the cost: the answer does not depend on which window certifies it.
+    :func:`~rescaling.maps.compose_families` keeps only certified terms,
+    since ``_mulsum``'s min-trunc rule does and the cap only cuts, and
+    :func:`~rescaling.maps.block_min_val` and the residues raise
+    :class:`PrecisionExhausted` whenever a residue may be hidden; so a
+    window that gives an answer gives the residues of the exact iterate.
+    A capped entry is never ``is_zero``, so every window gives the same
+    formal degree, and none can raise :class:`DegenerateFamily` or
+    :class:`AssertionFailed` where another certifies.  A wider window knows
+    every entry to at least the same order, so it certifies wherever a
+    narrower one does, and the last window is the same for every g.
+    """
+    vals = [c.terms[0][0] for c in g.coeffs() if c.terms]
+    spread = max(vals, default=0) - min(vals, default=0)
+    window = 1
+    while window < min(spread, ITERATE_WINDOW_CAP):
+        window *= 2
+    while window < ITERATE_WINDOW_CAP:
         try:
             return check(window)
         except PrecisionExhausted:
@@ -401,7 +420,7 @@ def cycle_limit_crosscheck(fam: MapL, cycle: RescalingCycle) -> bool:
     that widens until it suffices.
     """
     g = conjugate(fam, cycle.base.frame())
-    return _widening(lambda window: reduce_family(
+    return _widening(g, lambda window: reduce_family(
         iterate_family(g, cycle.period, window)) == cycle.limit)
 
 
@@ -435,7 +454,7 @@ def period_set_check(fam: MapL, frame: Union[AffineFrame, FrameClass],
                 it = compose_families(g, it, window)
         return degrees
 
-    degrees = _widening(degrees_within)
+    degrees = _widening(g, degrees_within)
     heavy = sorted(ell for ell, dg in degrees.items() if dg >= 2)
     if not heavy:
         return PeriodSetReport(degrees, True, None)

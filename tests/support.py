@@ -6,6 +6,8 @@ process; each test still exercises the real pipeline, just once per input.
 
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from rescaling import (find_cycle, monomial_seed_scan, parse_family,
                        parse_frame, reduce_family)
 
@@ -25,6 +27,17 @@ FAMILIES = {
     "cubic_shift": (CUBIC, "-1+t"),
     "cubic_inv": (CUBIC, "1/t"),
 }
+
+# Milnor's normal form z(z + mu1)/(mu2 z + 1): a quadratic map whose fixed
+# points 0 and infinity have multipliers mu1 and mu2.  With mu1 = 1/t the
+# family degenerates; mu2 near -1 or +-i, roots of unity of order 2 and 4,
+# gives a cycle of period 2 or 4 through the frame (-1/2, 0).
+NORMAL_FORM_SEED = "-1/2"
+normal_forms = st.builds(
+    lambda u, a, b: parse_family(
+        f"z*(z + 1/t)/(({u} + ({a} + {b}*i)*t)*z + 1)"),
+    st.sampled_from(["-1", "i", "-i"]), st.integers(-2, 2),
+    st.integers(-2, 2))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,6 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from math import inf
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import rescaling.frames as frames_mod
 import rescaling.maps as maps_mod
 from rescaling import cli, errors, famparse
 from rescaling.config import CENTER_HEIGHT_CAP, ITERATE_DEGREE_CAP
-from .support import CUBIC, LATTES, MCMULLEN, QUAD0
+from .support import CUBIC, LATTES, MCMULLEN, QUAD0, QUAD1
 
 
 def run(capsys, *argv):
@@ -314,6 +313,7 @@ def test_escape_payload_carries_certificate(capsys):
 @pytest.mark.parametrize("family, step, height", [
     ("z^2 + 1 + t", "14", "4827"),
     ("(z+1)^4/(z^4+2+t)", "7", "5393"),
+    ("(z+1)^10/(z^10+2+t)", "5", "14376"),
 ])
 def test_center_height_guard_ends_wandering_orbit(capsys, family, step,
                                                   height):
@@ -339,6 +339,20 @@ def test_scan_of_wandering_family_ends_in_one_document(capsys):
     assert list(doc["scan"]["failed"]) == ["1/2"]
     assert doc["scan"]["failed"]["1/2"].startswith(
         "AdvanceNotTerminating: advance 14 reached a frame center of height")
+
+
+def test_scan_of_degree_ten_wandering_family_fails_its_seed(capsys):
+    # this family's orbit and scan once ran past a minute in frame work on
+    # degree-10 coefficients; the height guard now ends both at advance 5
+    start = time.monotonic()
+    code, doc = run(capsys, "scan", "(z+1)^10/(z^10+2+t)",
+                    "--max-denominator", "2")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert doc["cycles"] == [] and doc["scan"]["escaped"] == []
+    assert doc["scan"]["failed"] == {"1/2": (
+        "AdvanceNotTerminating: advance 5 reached a frame center of height "
+        f"14376 bits, past the cap of {CENTER_HEIGHT_CAP}")}
 
 
 def test_report_and_scan_share_the_scan_object(capsys):
@@ -593,25 +607,30 @@ def test_trunc_flag_wins_over_bad_env_in_iterate_checks(capsys, monkeypatch,
     assert all(a["passed"] for a in doc["assertions"])
 
 
-@pytest.mark.parametrize("argv", ITERATE_CHECKS,
+@pytest.mark.parametrize("argv, expected", zip(ITERATE_CHECKS, ([2], [2, 2])),
                          ids=["crosscheck", "period_set"])
-def test_trunc_flag_sets_the_iterate_window(capsys, monkeypatch, argv):
+def test_trunc_flag_sets_the_iterate_window(capsys, monkeypatch, argv,
+                                            expected):
+    # quad0 conjugated at frame 1 has coefficient valuations spread over 2,
+    # so each check starts at window 2, which certifies at once
     windows = _spy_windows(monkeypatch)
     code, _ = run(capsys, "orbit", QUAD0, "--frame", "1", *argv)
     assert code == 0
-    assert windows and set(windows) == {16}
+    assert windows == expected
 
 
 def test_precision_retry_widens_the_iterate_window(capsys, monkeypatch):
-    # from a window of 2 the cubic's period-3 iterate runs out of precision;
-    # the crosscheck doubles its window until the iterate fits
-    monkeypatch.setattr(frames_mod, "DEFAULT_TRUNC", 2)
+    # quad1 conjugated at frame 3 has a valuation spread of 8; at window 8
+    # the sixth iterate's residue is hidden, so the period-set check doubles
+    # its window once and certifies at 16
     windows = _spy_windows(monkeypatch)
-    code, doc = run(capsys, "orbit", CUBIC, "--frame", "3", "--crosscheck")
+    code, doc = run(capsys, "orbit", QUAD1, "--frame", "3",
+                    "--period-max", "6")
     assert code == 0 and doc["cycles"][0]["period"] == 3
-    assert windows[0] == 2 and windows[-1] > 2
-    assert windows == sorted(windows)
-    assert set(windows) <= {Fraction(2 ** k) for k in range(1, 6)}
+    assert windows == [8] * 5 + [16] * 5
+    assert doc["period_set"] == {
+        "degrees": {"1": 0, "2": 0, "3": 2, "4": 0, "5": 0, "6": 4},
+        "law_holds": True, "period": 3}
 
 
 @pytest.mark.parametrize("env", ["abc", "3"])

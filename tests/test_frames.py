@@ -13,10 +13,12 @@ from rescaling import (AdvanceNotTerminating, AffineFrame, PrecisionExhausted,
                        ScanResult, advance, canonicalize, compose_reduced,
                        conjugate, cycle_limit_crosscheck,
                        equivalent_via_reduction, escape_bound, find_cycle,
-                       frame_size, monomial_seed_scan, parse_family,
-                       parse_frame, period_set_check, precompose_affine,
-                       reduce_family)
-from .support import MCMULLEN, QUAD0, cycle, family, reduced, scan
+                       frame_size, iterate_family, monomial_seed_scan,
+                       parse_family, parse_frame, period_set_check,
+                       precompose_affine, reduce_family)
+from rescaling.config import ITERATE_WINDOW_CAP
+from .support import (FAMILIES, MCMULLEN, NORMAL_FORM_SEED, QUAD0, cycle,
+                      family, normal_forms, reduced, scan)
 
 t_pow = PuiseuxSeries.t_power
 
@@ -213,13 +215,15 @@ def test_step_limits_compose_to_cycle_limit():
         assert g == c.limit
 
 
+# every fixture cycle with d^q <= 64; each has period <= 3
+FIXTURE_CYCLES = [("quad0", "1"), ("quad0", "3"), ("quad1", "1"),
+                  ("quad1", "3"), ("lattes", "0"), ("lattes", "2/5"),
+                  ("lattes", "2/3"), ("mcm", "1/3"), ("mcm", "1/7"),
+                  ("cubic", "3"), ("cubic_shift", "5"), ("cubic_inv", "4")]
+
+
 def test_cycle_limit_crosscheck_fixtures():
-    # every fixture cycle with d^q <= 64
-    for key, seed in [("quad0", "1"), ("quad0", "3"), ("quad1", "1"),
-                      ("quad1", "3"), ("lattes", "0"), ("lattes", "2/5"),
-                      ("lattes", "2/3"), ("mcm", "1/3"), ("mcm", "1/7"),
-                      ("cubic", "3"), ("cubic_shift", "5"),
-                      ("cubic_inv", "4")]:
+    for key, seed in FIXTURE_CYCLES:
         c = cycle(key, seed)
         assert family(key).degree ** c.period <= 64
         assert cycle_limit_crosscheck(family(key), c), (key, seed)
@@ -243,6 +247,8 @@ def test_period_set_quadratic_deep_frame():
 
 
 def test_iterate_window_widens_then_gives_up(monkeypatch):
+    # the search starts at the valuation spread of quad0 conjugated at
+    # frame 1, which is 2, and gives up after the last window, 256
     windows = []
 
     def too_narrow(outer, inner, window):
@@ -252,7 +258,7 @@ def test_iterate_window_widens_then_gives_up(monkeypatch):
     monkeypatch.setattr(frames_mod, "compose_families", too_narrow)
     with pytest.raises(PrecisionExhausted):
         period_set_check(family("quad0"), parse_frame("1"), 2)
-    assert windows == [16, 32, 64, 128, 256]
+    assert windows == [2, 4, 8, 16, 32, 64, 128, 256]
 
 
 # -- scans -------------------------------------------------------------------
@@ -526,3 +532,47 @@ def test_advance_is_class_invariant(seed, bump, eps):
     out = advance(family("quad0"), shifted)
     assert out.target == ref.target
     assert out.limit == ref.limit
+
+
+# -- iterate windows ---------------------------------------------------------
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except RescalingError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _widest_degrees(fam, fr, ell_max):
+    """The reduced degrees of the conjugated iterates, each iterate kept
+    within the widest window only."""
+    g = conjugate(fam, canonicalize(fr).frame())
+    return {ell: reduce_family(
+        iterate_family(g, ell, ITERATE_WINDOW_CAP)).degree
+        for ell in range(1, ell_max + 1)}
+
+
+@given(st.one_of(normal_forms,
+                 st.sampled_from(sorted(FAMILIES)).map(family)),
+       st.one_of(st.just(parse_frame(NORMAL_FORM_SEED)),
+                 st.builds(_frame_from, hs, center_terms)),
+       st.integers(1, 3))
+def test_period_set_check_answers_as_the_widest_window(fam, fr, ell_max):
+    # the first window follows the family and frame; the degrees, or the
+    # error, must be those that the widest window alone gives
+    got = _outcome(lambda: period_set_check(fam, fr, ell_max).degrees)
+    assert got == _outcome(_widest_degrees, fam, fr, ell_max)
+
+
+@given(st.one_of(normal_forms.map(
+           lambda fam: (fam, find_cycle(fam, parse_frame(NORMAL_FORM_SEED)))),
+       st.sampled_from(FIXTURE_CYCLES).map(
+           lambda ks: (family(ks[0]), cycle(*ks)))))
+def test_crosscheck_answers_as_the_widest_window(case):
+    fam, cyc = case
+    g = conjugate(fam, cyc.base.frame())
+    widest = _outcome(lambda: reduce_family(
+        iterate_family(g, cyc.period, ITERATE_WINDOW_CAP)) == cyc.limit)
+    assert _outcome(cycle_limit_crosscheck, fam, cyc) == widest
+    assert widest is True
