@@ -30,9 +30,8 @@ _EXPORTS = {
              "resultant_series", "resultant_valuation"),
     "frames": ("FrameClass", "PeriodSetReport", "RescalingCycle",
                "ScanResult", "StepResult", "advance", "canonicalize",
-               "cycle_limit_crosscheck", "equivalent_via_reduction",
-               "escape_bound", "find_cycle", "frame_size",
-               "monomial_seed_scan", "period_set_check"),
+               "cycle_limit_crosscheck", "escape_bound", "find_cycle",
+               "frame_size", "monomial_seed_scan", "period_set_check"),
     "classify": ("DichotomyReport", "LimitClassification", "PcfReport",
                  "classify_limit", "multiple_fixed_point", "pcf_check",
                  "polynomial_like", "quadratic_dichotomy_report"),

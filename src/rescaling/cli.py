@@ -18,7 +18,8 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .config import ITERATE_DEGREE_CAP
+from .config import (ITERATE_DEGREE_CAP, VERIFY_GRID_POINTS, VERIFY_S_GRID,
+                     VERIFY_TOL)
 from .errors import RescalingError
 
 
@@ -309,10 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--frame", required=True, metavar="H[,CENTER]")
     sp.add_argument("--max-steps", type=int, default=64)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--s-grid", default="1e-2,1e-3,1e-4",
+    sp.add_argument("--tol", type=float, default=VERIFY_TOL)
+    sp.add_argument("--s-grid", default=",".join(map(str, VERIFY_S_GRID)),
                     help="comma-separated sample magnitudes")
-    sp.add_argument("--points", type=int, default=200,
+    sp.add_argument("--points", type=int, default=VERIFY_GRID_POINTS,
                     help="sphere grid size")
     sp.set_defaults(fn=_cmd_verify)
 

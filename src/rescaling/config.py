@@ -13,9 +13,6 @@ DEFAULT_TRUNC = 16
 #: Hard cap on deg(f)**n for iterate().
 ITERATE_DEGREE_CAP = 64
 
-#: Slack added to the resultant valuation in the advance termination guard.
-ADVANCE_SLACK = 4
-
 #: Denominator cap for frame exponents along an orbit.
 RAMIFICATION_CAP = 512
 

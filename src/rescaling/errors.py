@@ -38,10 +38,10 @@ class DegenerateFamily(RescalingError):
 
 
 class AdvanceNotTerminating(RescalingError):
-    """A frame orbit does not close: the advance loop exceeded its
-    resultant-valuation budget, the orbit ran past its step cap, or an
-    escape certificate proved that no frame class can repeat (``details``
-    then carries the certificate)."""
+    """A frame orbit does not close: the orbit ran past its step cap, a
+    frame center grew past the height cap, or an escape certificate proved
+    that no frame class can repeat (``details`` then carries the guard's
+    or the certificate's figures)."""
 
 
 class RamificationCapExceeded(RescalingError):

@@ -17,19 +17,19 @@ from fractions import Fraction
 from math import inf
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .config import (ADVANCE_SLACK, CENTER_HEIGHT_CAP, ITERATE_WINDOW_CAP,
-                     RAMIFICATION_CAP)
+from .config import CENTER_HEIGHT_CAP, ITERATE_WINDOW_CAP, RAMIFICATION_CAP
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      PrecisionExhausted, RamificationCapExceeded)
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
                    compose_families, compose_reduced, conjugate,
                    gauss_normalize, iterate_family, precompose_affine,
-                   reduce_family, residues, resultant_valuation)
+                   reduce_family, residues, resultant_vanishes)
 from . import cpoly
 from .puiseux import PuiseuxSeries
 
-# corrections before the resultant budget is computed; most frames need 0-2
-_BUDGET_AFTER = 3
+# corrections before the family is checked for degree 0 or a vanishing
+# resultant; most frames need 0-2
+_DEGENERACY_CHECK_AFTER = 3
 
 
 class FrameClass:
@@ -58,10 +58,7 @@ class FrameClass:
     def __eq__(self, other):
         if not isinstance(other, FrameClass):
             return NotImplemented
-        if self.h != other.h or len(self.c.terms) != len(other.c.terms):
-            return False
-        return all(ea == eb and ca == cb for (ea, ca), (eb, cb)
-                   in zip(self.c.terms, other.c.terms))
+        return self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -93,27 +90,6 @@ def canonicalize(frame: Union[AffineFrame, FrameClass]) -> FrameClass:
     return FrameClass(h, PuiseuxSeries(cut, inf))
 
 
-def equivalent_via_reduction(a: Union[AffineFrame, FrameClass],
-                             b: Union[AffineFrame, FrameClass]) -> bool:
-    """Decide equivalence by reducing the transition map between two frames.
-
-    Independent of :func:`canonicalize`: builds the degree-1 family
-    M_b^-1 o M_a and checks that its residue is the identity.
-    """
-    fa = a.frame() if isinstance(a, FrameClass) else a
-    fb = b.frame() if isinstance(b, FrameClass) else b
-    num = [(fa.c - fb.c).shift(-fb.h), PuiseuxSeries.t_power(fa.h - fb.h)]
-    den = [PuiseuxSeries.one()]
-    try:
-        red = reduce_family(MapL(num, den))
-    except (PrecisionExhausted, DegenerateFamily):
-        return False
-    # same class iff the transition tends to a translation w + e: centers may
-    # disagree at order exactly t^h and still describe the same window
-    return (len(red.den) == 1 and red.den[0].is_one
-            and len(red.num) == 2 and red.num[1].is_one)
-
-
 class StepResult(NamedTuple):
     """One advance: source frame, the frame it lands on, and the step limit."""
 
@@ -128,17 +104,58 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
 
     Recenters f o M by affine output corrections (rebalancing a constant-0 or
     constant-infinity residue, or subtracting a constant residue value) until
-    the residue map has degree at least 1.  The corrections spend recentering
-    budget bounded by the valuation of the family's resultant; exceeding it
-    raises :class:`AdvanceNotTerminating`.
+    the residue map has degree at least 1.  At the third correction a family
+    of degree 0, or one whose resultant vanishes identically, raises
+    :class:`DegenerateFamily`; for any other exact family the loop ends, by
+    the lemma below.
+
+    Write Res(F, G) for the homogeneous resultant at the formal degree d of
+    f, F and G being the numerator and denominator of a state of the loop
+    made homogeneous of degree d.  For A in GL_2 and scalars,
+    Res(F o A, G o A) = det(A)^(d^2) Res(F, G),
+    Res(aF + bG, cF + eG) = (ae - bc)^d Res(F, G) and
+    Res(uF, uG) = u^(2d) Res(F, G) (Silverman, GTM 241, section 2.4).
+
+    Lemma.  Let the exact family f have degree d >= 1 and Res(P, Q) != 0,
+    and let r be the lcm of the exponent denominators of f o M.  Let v_0 be
+    the valuation of Res at the first normalized state, and s_k the spend
+    of the k-th correction: |a| for a rebalance by t^a, delta for a
+    subtraction.  Then Res at the normalized state after k corrections has
+    valuation v_0 - d (s_1 + ... + s_k) >= 0, and the loop makes at most
+    r v_0 / d corrections.
+
+    Proof.  f o M = (P o M) / (Q o M) has Res = t^(h d^2) Res(P, Q) != 0;
+    normalization by t^-mu scales Res by t^(-2d mu), and each correction
+    below by a power of t, so no state has Res = 0.  A state is
+    Gauss-normalized at the top of each pass: its coefficients have
+    valuation >= 0, with 0 attained, so v(Res) >= 0, Res being an integer
+    polynomial in them.  A rebalance comes when one residue vanishes.  If
+    the numerator's does, 0 = vd < vn and a = -vn, so F -> t^a F is
+    normalized and Res gains t^(d a) = t^(-d |a|).  If the denominator's
+    does, 0 = vn < vd = a, and F -> t^a F followed by normalization by
+    t^-a is G -> t^-a G: Res gains t^(-d a).  A subtraction comes when
+    both residues are nonzero, so both blocks have valuation 0:
+    F -> F - c1 G keeps Res, the shift by t^-delta scales it by
+    t^(-d delta), and the state stays normalized.  This proves the
+    identity, and v(Res) >= 0 gives s_1 + ... + s_k <= v_0 / d.  Every
+    shift, by mu, delta or a, is an exponent of the state or a difference
+    of two, so every exponent stays in (1/r)Z, and each spend, being
+    positive, is at least 1/r.  QED.
+
+    So the loop needs no cap on what it spends.  Its one check is needed
+    where the lemma does not apply.  A family of degree 0 has constant
+    residues in every frame, and its subtractions run through the expansion
+    of P/Q in t.  A degenerate family, which only a library caller can
+    build (``parse_family`` refuses one), can subtract forever.  Since P or
+    Q has degree d, Res(P, Q) vanishes exactly when the resultant at the
+    trimmed degrees does, which :func:`~rescaling.maps.resultant_vanishes`
+    decides by a determinant mod a prime.
     """
     src = canonicalize(frame)
     work = precompose_affine(fam, src.frame())
     u = Fraction(0)
     v = PuiseuxSeries.zero()
     corrections = 0
-    budget = None
-    spent = Fraction(0)
     while True:
         work = gauss_normalize(work)
         p_res, q_res = residues(work)
@@ -155,7 +172,6 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             work = MapL([c.shift(-delta) for c in gnum], work.den)
             u -= delta
             v = (v - c1).shift(-delta)
-            spent += delta
         else:
             vn = block_min_val(work.num)
             vd = block_min_val(work.den)
@@ -167,15 +183,14 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             work = work.scaled_function(a)
             u += a
             v = v.shift(a)
-            spent += abs(a)
         corrections += 1
-        if budget is None and corrections >= _BUDGET_AFTER:
-            budget = resultant_valuation(gauss_normalize(work))
-            spent = Fraction(0)
-        if budget is not None and spent > budget + ADVANCE_SLACK:
-            raise AdvanceNotTerminating(
-                f"recentering exceeded the resultant budget {budget} "
-                f"(+{ADVANCE_SLACK}) at frame {src}")
+        if corrections == _DEGENERACY_CHECK_AFTER:
+            if fam.degree < 1:
+                raise DegenerateFamily(
+                    "family is constant in z, so no frame has a "
+                    "non-constant residue")
+            if resultant_vanishes(fam):
+                raise DegenerateFamily("resultant vanishes identically")
     limit = reduce_family(work)
     if limit.degree < 1:
         raise AssertionFailed(
@@ -494,9 +509,8 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
     at most once per scan.  Distinct seeds landing on the same cycle are
     reported once.  Orbits that reach the certified escape region of
     :func:`escape_bound` count as escaped.  Every other failure, among them
-    the ``max_steps`` cap, the recentering budget of :func:`advance` and the
-    center-height guard of :func:`find_cycle`, is recorded per seed with
-    the error message.
+    the ``max_steps`` cap and the center-height guard of :func:`find_cycle`,
+    is recorded per seed with the error message.
     """
     zero = PuiseuxSeries.zero()
     seeds = sorted({Fraction(p, q)

@@ -3,9 +3,8 @@
 A family is a pair of polynomials in z whose coefficients are truncated
 series in t.  Everything here treats the family formally: normalization of
 the joint valuation, passage to the residue map at t = 0, affine changes of
-variable with series entries, iteration, and the valuation of the resultant
-(the budget that bounds how far a family can be recentered before it
-degenerates).
+variable with series entries, iteration, and the resultant in t, whose
+vanishing marks a degenerate family.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from math import inf, lcm
 from typing import Dict, List, Sequence, Tuple
 
 from . import cpoly
-from .config import DEFAULT_TRUNC, ITERATE_DEGREE_CAP
+from .config import ITERATE_DEGREE_CAP
 from .errors import (AssertionFailed, DegenerateFamily, DegreeCapExceeded,
                      PrecisionExhausted)
 from .coefficients import GaussianRational
@@ -409,8 +408,7 @@ def conjugate(fam: MapL, frame: AffineFrame) -> MapL:
                          df * dc ** (fam.degree + 1)))
 
 
-def compose_families(outer: MapL, inner: MapL,
-                     window=DEFAULT_TRUNC) -> MapL:
+def compose_families(outer: MapL, inner: MapL, window) -> MapL:
     """outer(inner(z)), truncated to ``window`` above the least valuation.
 
     The cap.  :class:`MapL` trims the top positions where both entries
@@ -441,7 +439,7 @@ def compose_families(outer: MapL, inner: MapL,
                          r, do * di ** outer.degree))
 
 
-def iterate_family(fam: MapL, n: int, window=DEFAULT_TRUNC) -> MapL:
+def iterate_family(fam: MapL, n: int, window) -> MapL:
     """The n-th iterate f^n, n >= 1, each composition kept within
     ``window``."""
     if n < 1:
@@ -570,7 +568,8 @@ def _singular_mod_p(rows: List[List[int]]) -> bool:
 
 
 def resultant_valuation(fam: MapL) -> Fraction:
-    """Valuation of the resultant; the recentering budget of the family."""
+    """Valuation in t of :func:`resultant_series`; :class:`DegenerateFamily`
+    when the resultant vanishes identically."""
     res = resultant_series(fam)
     if res.is_zero:
         raise DegenerateFamily("resultant vanishes identically")

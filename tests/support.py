@@ -4,12 +4,16 @@ Parsing and cycle-finding are deterministic, so results are cached per
 process; each test still exercises the real pipeline, just once per input.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from hypothesis import strategies as st
 
-from rescaling import (find_cycle, monomial_seed_scan, parse_family,
-                       parse_frame, reduce_family)
+from rescaling import (GaussianRational, MapL, PuiseuxSeries, find_cycle,
+                       monomial_seed_scan, parse_family, parse_frame,
+                       reduce_family)
+from rescaling.maps import resultant_vanishes
 
 QUAD0 = "t - (1+t^2)/z + t/z^2"
 QUAD1 = "t - (1+t^2)/z + t/z^2 - t^5"
@@ -38,6 +42,20 @@ normal_forms = st.builds(
         f"z*(z + 1/t)/(({u} + ({a} + {b}*i)*t)*z + 1)"),
     st.sampled_from(["-1", "i", "-i"]), st.integers(-2, 2),
     st.integers(-2, 2))
+
+# Random exact families of degree 1 or 2.  Each coefficient is a sum of at
+# most two terms c*t^e, c a small Gaussian integer and e in {0, 1/2, 1, 2};
+# a family of degree 0 or with a vanishing resultant is rejected, as
+# parse_family rejects a degenerate one.
+_t_polys = st.lists(
+    st.tuples(st.sampled_from([0, Fraction(1, 2), 1, 2]),
+              st.builds(GaussianRational, st.integers(-2, 2),
+                        st.integers(-1, 1))),
+    max_size=2).map(lambda terms: PuiseuxSeries.build(terms, inf))
+random_families = st.builds(
+    MapL, st.lists(_t_polys, min_size=1, max_size=3),
+    st.lists(_t_polys, min_size=1, max_size=3)).filter(
+    lambda fam: fam.degree >= 1 and not resultant_vanishes(fam))
 
 
 @lru_cache(maxsize=None)

@@ -331,6 +331,32 @@ def test_center_height_guard_ends_wandering_orbit(capsys, family, step,
     assert details["frame"].startswith("(")
 
 
+def test_orbit_converging_to_a_fixed_point_ends_at_its_step_cap(capsys):
+    # the centers approach the attracting fixed point (1 - sqrt(1 - 4t))/2
+    # of z^2 + t, one more correction per advance; advance's lemma bounds
+    # each advance's corrections, so only the step cap ends the orbit
+    code, doc = run(capsys, "orbit", "z^2 + t", "--frame", "1",
+                    "--max-steps", "16")
+    assert code == 3
+    assert doc["error"] == {
+        "type": "AdvanceNotTerminating",
+        "message": "no frame class repeated within 16 advances from (1, 0)"}
+
+
+def test_orbit_with_many_corrections_per_advance_ends_quickly(capsys):
+    # every advance after the first makes 9 to 23 corrections, and none of
+    # them computes a resultant
+    start = time.monotonic()
+    code, doc = run(capsys, "orbit",
+                    "(-i*z^0 + t^2*z^1)/(1*z^0 + 3*t^(1/2)*z^2)", "--frame=2",
+                    "--max-steps", "16")
+    assert time.monotonic() - start < 1.2
+    assert code == 3
+    assert doc["error"] == {
+        "type": "AdvanceNotTerminating",
+        "message": "no frame class repeated within 16 advances from (2, 0)"}
+
+
 def test_scan_of_wandering_family_ends_in_one_document(capsys):
     # the height guard stops the orbit from (1/2, 0); no escape is certified
     code, doc = run(capsys, "scan", "z^2 + 1 + t", "--max-denominator", "2")
@@ -582,7 +608,7 @@ def _spy_windows(monkeypatch):
     windows = []
     real = maps_mod.compose_families
 
-    def spy(outer, inner, window=None):
+    def spy(outer, inner, window):
         windows.append(window)
         return real(outer, inner, window)
 

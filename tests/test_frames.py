@@ -1,24 +1,26 @@
 """Frame classes, the advance step, cycles, scans, and their invariants."""
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rescaling.frames as frames_mod
-from rescaling import (AdvanceNotTerminating, AffineFrame, PrecisionExhausted,
+from rescaling import (AdvanceNotTerminating, AffineFrame, DegenerateFamily,
+                       FrameClass, GaussianRational, MapL, PrecisionExhausted,
                        PuiseuxSeries, RamificationCapExceeded, RescalingError,
                        ScanResult, advance, canonicalize, compose_reduced,
-                       conjugate, cycle_limit_crosscheck,
-                       equivalent_via_reduction, escape_bound, find_cycle,
-                       frame_size, iterate_family, monomial_seed_scan,
-                       parse_family, parse_frame, period_set_check,
-                       precompose_affine, reduce_family)
+                       conjugate, cpoly, cycle_limit_crosscheck, escape_bound,
+                       find_cycle, frame_size, iterate_family,
+                       monomial_seed_scan, parse_family, parse_frame,
+                       period_set_check, precompose_affine, reduce_family)
 from rescaling.config import ITERATE_WINDOW_CAP
+from rescaling.maps import block_min_val, residues
 from .support import (FAMILIES, MCMULLEN, NORMAL_FORM_SEED, QUAD0, cycle,
-                      family, normal_forms, reduced, scan)
+                      family, normal_forms, random_families, reduced, scan)
 
 t_pow = PuiseuxSeries.t_power
 
@@ -503,6 +505,24 @@ def _frame_from(h, terms):
     return AffineFrame(h, PuiseuxSeries.build(terms, inf))
 
 
+def equivalent_via_reduction(a, b) -> bool:
+    """Whether two frames are equivalent: the oracle of :func:`canonicalize`,
+    which it does not call.  It checks that the residue of the degree-1
+    family M_b^-1 o M_a is a translation."""
+    fa = a.frame() if isinstance(a, FrameClass) else a
+    fb = b.frame() if isinstance(b, FrameClass) else b
+    num = [(fa.c - fb.c).shift(-fb.h), PuiseuxSeries.t_power(fa.h - fb.h)]
+    den = [PuiseuxSeries.one()]
+    try:
+        red = reduce_family(MapL(num, den))
+    except (PrecisionExhausted, DegenerateFamily):
+        return False
+    # same class iff the transition tends to a translation w + e: centers may
+    # disagree at order exactly t^h and still describe the same window
+    return (len(red.den) == 1 and red.den[0].is_one
+            and len(red.num) == 2 and red.num[1].is_one)
+
+
 @given(hs, center_terms, center_terms)
 def test_canonical_equality_matches_reduction_equivalence(h, ta, tb):
     a = _frame_from(h, ta)
@@ -532,6 +552,76 @@ def test_advance_is_class_invariant(seed, bump, eps):
     out = advance(family("quad0"), shifted)
     assert out.target == ref.target
     assert out.limit == ref.limit
+
+
+# -- the correction loop's termination lemma ---------------------------------
+
+
+def _resultant_valuation_at(fam, d):
+    """v(Res) at the formal degree d of a family whose exact coefficients
+    have valuation >= 0: its Sylvester matrix over Q(i)[s], s = t^(1/r)."""
+    r = lcm(*(e.denominator for c in fam.coeffs() for e, _ in c.terms))
+
+    def s_poly(c):
+        out = [GaussianRational.zero()] * (
+            int(c.terms[-1][0] * r) + 1 if c.terms else 0)
+        for e, g in c.terms:
+            out[int(e * r)] = g
+        return out
+
+    pad = [PuiseuxSeries.zero()] * (d - fam.degree)
+    det = cpoly.trim(cpoly.pdet(cpoly.sylvester(
+        *[[s_poly(c) for c in list(b) + pad] for b in (fam.num, fam.den)],
+        [])))
+    return Fraction(next(k for k, g in enumerate(det) if not g.is_zero),
+                    r) if det else inf
+
+
+def _spend(state):
+    """What advance's correction from a normalized state spends: delta for
+    a subtraction, |a| for a rebalance."""
+    p, q = residues(state)
+    if p and q:
+        i = next(i for i, c in enumerate(q) if not c.is_zero)
+        return block_min_val(cpoly.padd(
+            state.num, cpoly.pscale(state.den, -(p[i] / q[i]))))
+    return abs(block_min_val(state.den) - block_min_val(state.num))
+
+
+@settings(max_examples=30)
+@given(random_families, st.builds(_frame_from, hs, center_terms))
+@example(parse_family("z^2 + t"),
+         parse_frame("7, t + t^2 + 2*t^3 + 5*t^4 + 14*t^5 + 42*t^6"))
+def test_corrections_spend_the_resultant_valuation(fam, fr):
+    # advance's lemma: at each correction v(Res) at the formal degree falls
+    # by d times what the correction spends, and it never goes below 0
+    states = []
+    real = frames_mod.gauss_normalize
+
+    def spy(work):
+        states.append(real(work))
+        return states[-1]
+
+    with mock.patch.object(frames_mod, "gauss_normalize", spy):
+        step = advance(fam, fr)
+    assert len(states) == step.n_corrections + 1
+    d = fam.degree
+    vals = [_resultant_valuation_at(s, d) for s in states]
+    assert all(0 <= v < inf for v in vals)
+    for k in range(step.n_corrections):
+        assert vals[k + 1] == vals[k] - d * _spend(states[k])
+
+
+@pytest.mark.parametrize("fam", [
+    MapL([PuiseuxSeries.zero(), PuiseuxSeries.one()],
+         [PuiseuxSeries.zero(), PuiseuxSeries.build([(0, 1), (1, 1)], inf)]),
+    parse_family("1/(1-t)"),
+], ids=["degenerate", "constant"])
+def test_advance_refuses_a_family_the_lemma_does_not_cover(fam):
+    # z/((1 + t) z) subtracts forever, and so does the constant 1/(1 - t),
+    # through its expansion in t
+    with pytest.raises(DegenerateFamily):
+        advance(fam, parse_frame("1"))
 
 
 # -- iterate windows ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Family normalization, reduction, composition, and the resultant budget."""
+"""Family normalization, reduction, composition, and the resultant."""
 
 import time
 from fractions import Fraction
@@ -104,9 +104,10 @@ def test_precompose_affine_shifts_center():
 
 def test_iterate_family():
     fam = parse_family("z^2")
-    assert reduce_family(iterate_family(fam, 3)) == reduced("z^8")
+    assert reduce_family(iterate_family(fam, 3, DEFAULT_TRUNC)) \
+        == reduced("z^8")
     with pytest.raises(ValueError):
-        iterate_family(fam, 0)
+        iterate_family(fam, 0, DEFAULT_TRUNC)
 
 
 # -- the integer product kernel against the per-pair loop -------------------
@@ -253,7 +254,7 @@ def test_smul_kernel_matches_loop_on_quad0_iterates():
 def test_compose_builds_one_series_per_coefficient(monkeypatch):
     # each product used to be unpacked into series: 1,076 of them here
     g = conjugate(family("quad0"), parse_frame("1"))
-    fifth = iterate_family(g, 5)
+    fifth = iterate_family(g, 5, DEFAULT_TRUNC)
     built = []
     init = PuiseuxSeries.__init__
 
@@ -262,7 +263,7 @@ def test_compose_builds_one_series_per_coefficient(monkeypatch):
         init(self, terms, trunc)
 
     monkeypatch.setattr(PuiseuxSeries, "__init__", counting)
-    out = compose_families(g, fifth)
+    out = compose_families(g, fifth, DEFAULT_TRUNC)
     assert len(out.coeffs()) == 130
     assert len(built) <= 2 * 130
 
