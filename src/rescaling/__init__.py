@@ -21,8 +21,7 @@ _EXPORTS = {
     "coefficients": ("GaussianRational",),
     "errors": ("AdvanceNotTerminating", "AssertionFailed",
                "DegenerateFamily", "DegreeCapExceeded", "GridDegenerate",
-               "ParseError", "PrecisionExhausted", "RamificationCapExceeded",
-               "RescalingError"),
+               "ParseError", "PrecisionExhausted", "RescalingError"),
     "puiseux": ("PuiseuxSeries",),
     "maps": ("AffineFrame", "MapL", "ReducedMap", "compose_families",
              "compose_reduced", "conjugate", "gauss_normalize",
@@ -35,8 +34,7 @@ _EXPORTS = {
     "classify": ("DichotomyReport", "LimitClassification", "PcfReport",
                  "classify_limit", "multiple_fixed_point", "pcf_check",
                  "polynomial_like", "quadratic_dichotomy_report"),
-    "verify": ("VerificationReport", "chordal_distance", "sphere_grid",
-               "verify_rescaling"),
+    "verify": ("VerificationReport", "sphere_grid", "verify_rescaling"),
     "famparse": ("parse_family", "parse_frame"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

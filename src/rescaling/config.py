@@ -10,11 +10,9 @@ from __future__ import annotations
 #: Infinite expansions are cut below this exponent by default.
 DEFAULT_TRUNC = 16
 
-#: Hard cap on deg(f)**n for iterate().
+#: Hard cap on the z-degree of a composition of families, deg(f)**n for
+#: the n-th iterate, and of a parsed family.
 ITERATE_DEGREE_CAP = 64
-
-#: Denominator cap for frame exponents along an orbit.
-RAMIFICATION_CAP = 512
 
 #: Cap, in bits, on the height of frame centers along an orbit: the largest
 #: bit length of x, y or d over the center's coefficients (x + y*i)/d.

@@ -44,12 +44,10 @@ class AdvanceNotTerminating(RescalingError):
     or the certificate's figures)."""
 
 
-class RamificationCapExceeded(RescalingError):
-    """A frame exponent's denominator grew beyond the configured cap."""
-
-
 class DegreeCapExceeded(RescalingError):
-    """iterate() was asked for a composition past the configured d**n cap."""
+    """``compose_families`` was asked for a composition whose z-degree
+    passes ``config.ITERATE_DEGREE_CAP`` (a parsed family past that cap is
+    a :class:`ParseError`)."""
 
 
 class GridDegenerate(RescalingError):

@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import inf
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .config import CENTER_HEIGHT_CAP, ITERATE_WINDOW_CAP, RAMIFICATION_CAP
+from .config import CENTER_HEIGHT_CAP, ITERATE_WINDOW_CAP
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
-                     PrecisionExhausted, RamificationCapExceeded)
+                     PrecisionExhausted)
 from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
                    compose_families, compose_reduced, conjugate,
                    gauss_normalize, iterate_family, precompose_affine,
@@ -73,16 +73,11 @@ class FrameClass:
 def canonicalize(frame: Union[AffineFrame, FrameClass]) -> FrameClass:
     """Cut a frame down to its class representative.
 
-    The center must be known below t^h; ramification of the zoom exponent is
-    capped to keep runaway denominators from masquerading as progress.
+    The center must be known below t^h.
     """
     if isinstance(frame, FrameClass):
         return frame
     h = Fraction(frame.h)
-    if h.denominator > RAMIFICATION_CAP:
-        raise RamificationCapExceeded(
-            f"zoom exponent denominator {h.denominator} exceeds "
-            f"{RAMIFICATION_CAP}")
     if frame.c.trunc < h:
         raise PrecisionExhausted(
             f"center known mod t^{frame.c.trunc}, class needs it mod t^{h}")
@@ -150,6 +145,22 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
     Q has degree d, Res(P, Q) vanishes exactly when the resultant at the
     trimmed degrees does, which :func:`~rescaling.maps.resultant_vanishes`
     decides by a determinant mod a prime.
+
+    Corollary.  Let R be the lcm of the exponent denominators of f, of the
+    seed's h and of the seed's center.  Every frame that
+    :func:`find_cycle` visits from that seed has h and center exponents in
+    (1/R)Z: an orbit never ramifies beyond its seed, so frames need no cap
+    on their exponent denominators.
+
+    Proof, by induction along the orbit; the seed's class is cut from the
+    seed, so it holds there.  Let the source (h, c) have exponents in
+    (1/R)Z.  Each coefficient of f o M is a sum of products of
+    coefficients of f, powers of c and powers of t^h, so its exponents are
+    sums of those of f and c and multiples of h, and r divides R.  The
+    target has h' = -u and center -v t^(-u): u is a sum of the shifts a
+    and -delta, and each term of v is a constant shifted by some of them,
+    so by the lemma both lie in (1/r)Z.  Cutting the center below t^h'
+    drops terms and adds none.  QED.
     """
     src = canonicalize(frame)
     work = precompose_affine(fam, src.frame())
@@ -173,13 +184,9 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
             u -= delta
             v = (v - c1).shift(-delta)
         else:
-            vn = block_min_val(work.num)
-            vd = block_min_val(work.den)
-            if vn == inf or vd == inf:
-                raise DegenerateFamily(
-                    "numerator or denominator identically zero")
-            # the block whose residue survives holds the t^0 term, so a != 0
-            a = vd - vn
+            # gauss_normalize refused a zero block; the block whose residue
+            # survives holds the t^0 term, so a != 0
+            a = block_min_val(work.den) - block_min_val(work.num)
             work = work.scaled_function(a)
             u += a
             v = v.shift(a)
@@ -538,8 +545,7 @@ def monomial_seed_scan(fam: MapL, max_denominator: int,
             else:
                 out.failed[h] = f"{type(exc).__name__}: {exc}"
             continue
-        except (PrecisionExhausted, RamificationCapExceeded,
-                DegenerateFamily) as exc:
+        except (PrecisionExhausted, DegenerateFamily) as exc:
             out.failed[h] = f"{type(exc).__name__}: {exc}"
             continue
         if not _is_new(cycle):

@@ -451,7 +451,32 @@ def iterate_family(fam: MapL, n: int, window) -> MapL:
 
 
 def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
-    """Composition of reduced maps, cancelled back to lowest terms."""
+    """Composition of reduced maps, in lowest terms with nothing cancelled.
+
+    Write outer = A/B and inner = p/q, m = max(deg A, deg B) and
+    n = max(deg p, deg q).  The result is num/den with num = F(p, q) and
+    den = G(p, q), where F(X, Y) = sum a_i X^i Y^(m-i) and G likewise are
+    the forms of degree m of A and B.
+
+    Lemma.  If A/B and p/q are in lowest terms (gcd(A, B) and gcd(p, q)
+    constant, taking gcd(0, q) = q), then gcd(num, den) is constant.
+
+    Proof.  F and G share no zero on P^1 over the algebraic closure: a
+    finite one would be a common root of A and B, and (1 : 0) would need
+    deg A, deg B < m.  If m n = 0, num and den are the constants a_0, b_0
+    (m = 0) or F(p, q), G(p, q) (n = 0), so not both 0.  Otherwise let P,
+    Q be the forms of degree n of p and q, which share no zero either, so
+    that num and den are F o (P, Q) and G o (P, Q) at (z, 1).  Forms of
+    positive degree share a zero exactly when their resultant vanishes, so
+    Res(F, G) and Res(P, Q) are nonzero, and by Res(F o (P, Q),
+    G o (P, Q)) = Res(F, G)^n Res(P, Q)^(m^2) (Silverman, GTM 241,
+    section 2.4) the composed forms share no zero.  A nonconstant
+    gcd(num, den) would have a root z0, and (z0 : 1) would be one.  QED.
+
+    So the composition has degree m n exactly, since at most one composed
+    form vanishes at (1 : 0); :func:`~rescaling.frames.find_cycle` checks
+    that degree product.
+    """
     p, q = list(inner.num), list(inner.den)
     m = max(cpoly.degree(outer.num), cpoly.degree(outer.den), 0)
     p_pow, q_pow = [[GaussianRational.one()]], [[GaussianRational.one()]]
@@ -466,9 +491,6 @@ def compose_reduced(outer: ReducedMap, inner: ReducedMap) -> ReducedMap:
             num = cpoly.padd(num, cpoly.pscale(basis, outer.num[i]))
         if i < len(outer.den):
             den = cpoly.padd(den, cpoly.pscale(basis, outer.den[i]))
-    g = cpoly.pgcd(num, den) if num and den else []
-    if cpoly.degree(g) > 0:
-        num, den = _divide_out(num, g), _divide_out(den, g)
     return ReducedMap(num, den)
 
 

@@ -189,12 +189,6 @@ class PuiseuxSeries:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return PuiseuxSeries(
             tuple((e, -c) for e, c in self.terms), self.trunc)
@@ -250,32 +244,6 @@ class PuiseuxSeries:
             if not term.terms:
                 break
         return acc.scale(c.inverse()).shift(-e).cap(trunc)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = PuiseuxSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- comparison / display -------------------------------------------
 

@@ -8,8 +8,9 @@ points and compares in the chordal metric.
 The parameter is sampled as t = s^D, with D the least common multiple of
 every exponent denominator in sight, so all series evaluate through integer
 powers of s and the approximation error scales like s rather than a
-fractional root of it.  Points whose limit-side orbit passes within a fixed
-margin of a step's hole divisor are excluded: there the convergence is not
+fractional root of it.  Grid points within a fixed chordal margin of a
+pullback of the holes (a preimage of a step's hole under the composition of
+the step limits before it) are excluded: there the convergence is not
 promised.  A negative control (the limit shifted by 1) must fail the same
 comparison, otherwise the tolerance was meaningless.
 """
@@ -37,20 +38,8 @@ INFINITY = "inf"
 Hom = Tuple[complex, complex]
 
 
-def chordal_distance(a, b) -> float:
-    """Distance on the sphere; affine complex numbers or the marker "inf".
-
-    >>> chordal_distance(0, "inf")
-    1.0
-    >>> chordal_distance(1, -1)
-    1.0
-    """
-    pa = (1.0 + 0j, 0j) if a == INFINITY else (complex(a), 1.0 + 0j)
-    pb = (1.0 + 0j, 0j) if b == INFINITY else (complex(b), 1.0 + 0j)
-    return chordal_hom(pa, pb)
-
-
 def chordal_hom(p: Hom, q: Hom) -> float:
+    """Chordal distance between the points (p0 : p1) and (q0 : q1)."""
     na2 = abs(p[0]) ** 2 + abs(p[1]) ** 2
     nb2 = abs(q[0]) ** 2 + abs(q[1]) ** 2
     if na2 == 0.0 or nb2 == 0.0:

@@ -140,9 +140,8 @@ def test_s_grid_order_does_not_matter(capsys):
 # added here
 EXIT_CODES = {
     "PrecisionExhausted": 3, "DegenerateFamily": 3,
-    "AdvanceNotTerminating": 3, "RamificationCapExceeded": 3,
-    "DegreeCapExceeded": 3, "GridDegenerate": 3, "AssertionFailed": 2,
-    "ParseError": 2,
+    "AdvanceNotTerminating": 3, "DegreeCapExceeded": 3, "GridDegenerate": 3,
+    "AssertionFailed": 2, "ParseError": 2,
 }
 
 
@@ -308,6 +307,26 @@ def test_escape_payload_carries_certificate(capsys):
     assert err["type"] == "AdvanceNotTerminating"
     assert err["details"] == {"frame": "(-1, 0)", "step": "6", "size": "-1",
                               "bound": "0", "drift": "m -> 3m - 1"}
+
+
+def test_deeply_ramified_seed_escapes(capsys):
+    # no frame of the orbit ramifies beyond the seed's 1/1000, so the escape
+    # certificate, not a denominator cap, ends it
+    code, doc = run(capsys, "orbit", MCMULLEN, "--frame", "1/1000")
+    assert code == 3
+    assert doc["error"]["type"] == "AdvanceNotTerminating"
+    assert doc["error"]["details"] == {
+        "frame": "(-7/250, 0)", "step": "7", "size": "-7/250", "bound": "0",
+        "drift": "m -> 3m"}
+
+
+def test_deeply_ramified_seed_closes_a_cycle(capsys):
+    code, doc = run(capsys, "orbit", QUAD0, "--frame", "1/1000")
+    assert code == 0
+    (cyc,) = doc["cycles"]
+    assert cyc["period"] == 2
+    assert [(fr["h"], fr["center"]) for fr in cyc["frames"]] == [
+        ("1/1000", "0"), ("-1/1000", "0")]
 
 
 @pytest.mark.parametrize("family, step, height", [

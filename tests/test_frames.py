@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import rescaling.frames as frames_mod
 from rescaling import (AdvanceNotTerminating, AffineFrame, DegenerateFamily,
                        FrameClass, GaussianRational, MapL, PrecisionExhausted,
-                       PuiseuxSeries, RamificationCapExceeded, RescalingError,
-                       ScanResult, advance, canonicalize, compose_reduced,
-                       conjugate, cpoly, cycle_limit_crosscheck, escape_bound,
-                       find_cycle, frame_size, iterate_family,
-                       monomial_seed_scan, parse_family, parse_frame,
-                       period_set_check, precompose_affine, reduce_family)
+                       PuiseuxSeries, RescalingError, ScanResult, advance,
+                       canonicalize, compose_reduced, conjugate, cpoly,
+                       cycle_limit_crosscheck, escape_bound, find_cycle,
+                       frame_size, iterate_family, monomial_seed_scan,
+                       parse_family, parse_frame, period_set_check,
+                       precompose_affine, reduce_family)
 from rescaling.config import ITERATE_WINDOW_CAP
 from rescaling.maps import block_min_val, residues
 from .support import (FAMILIES, MCMULLEN, NORMAL_FORM_SEED, QUAD0, cycle,
@@ -43,11 +43,6 @@ def test_canonicalize_cuts_center_at_h():
 def test_canonicalize_needs_center_precision():
     with pytest.raises(PrecisionExhausted):
         canonicalize(frame(3, PuiseuxSeries.zero(trunc=1)))
-
-
-def test_canonicalize_ramification_cap():
-    with pytest.raises(RamificationCapExceeded):
-        canonicalize(frame(Fraction(1, 1000)))
 
 
 def test_frame_class_equality():
@@ -610,6 +605,30 @@ def test_corrections_spend_the_resultant_valuation(fam, fr):
     assert all(0 <= v < inf for v in vals)
     for k in range(step.n_corrections):
         assert vals[k + 1] == vals[k] - d * _spend(states[k])
+
+
+@given(st.one_of(random_families, normal_forms),
+       st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
+                        Fraction(-1, 3), Fraction(1, 1000)]),
+       st.sampled_from([PuiseuxSeries.zero(), PuiseuxSeries.one(),
+                        t_pow(Fraction(1, 5))]),
+       st.integers(1, 12))
+@example(parse_family(MCMULLEN), Fraction(1, 1000), PuiseuxSeries.zero(), 12)
+def test_orbit_never_ramifies_beyond_its_seed(fam, h, c, max_steps):
+    # advance's corollary: every frame of the orbit has h and center
+    # exponents in (1/R)Z, R the lcm of the denominators in f and the seed
+    R = lcm(h.denominator, *(e.denominator for s in fam.coeffs() + (c,)
+                             for e, _ in s.terms))
+    memo = {}
+    try:
+        find_cycle(fam, AffineFrame(h, c), max_steps, memo)
+    except RescalingError:
+        pass  # the frames visited before the orbit ended still count
+    visited = [canonicalize(AffineFrame(h, c))] + [
+        step.target for step in memo.values()]
+    for fc in visited:
+        assert R % fc.h.denominator == 0
+        assert all(R % e.denominator == 0 for e, _ in fc.c.terms)
 
 
 @pytest.mark.parametrize("fam", [

@@ -1,11 +1,13 @@
-"""Every module-level import is used, every error class is raised, and
-every configuration constant is imported.
+"""Every module-level import is used, every error class is raised, every
+configuration constant is imported, and the benchmark tracer binds.
 
 No lint tool is a dependency, so this scans the sources with ``ast``.  A
 package ``__init__.py`` is skipped: its imports are re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,22 @@ def test_every_config_constant_is_imported():
     imported = set().union(*(config_imports(p.read_text())
                              for p in package.glob("*.py")))
     assert constants and sorted(constants - imported) == []
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # bench/tracing.py wraps every function of its SPANNED table at each of
+    # its module bindings, and every COUNTED method; a src change that
+    # unbinds one makes install() raise
+    probe = ("import sys\n"
+             "sys.path[:0] = sys.argv[1:]\n"
+             "import rescaling.cli\n"
+             "from tracing import Tracer\n"
+             "tracer = Tracer()\n"
+             "tracer.install()\n"
+             "tracer.uninstall()\n"
+             "print('ok')")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

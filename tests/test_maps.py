@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
-                       PuiseuxSeries, cpoly,
+                       PuiseuxSeries, ReducedMap, cpoly,
                        compose_families, compose_reduced, conjugate,
                        gauss_normalize, iterate_family, maps, parse_family,
                        parse_frame, precompose_affine, reduce_family,
@@ -84,9 +84,49 @@ def test_compose_reduced():
     assert compose_reduced(sq, sq) == reduced("z^4")
     assert compose_reduced(cube_inv, sq) == reduced("1/z^6")
     assert compose_reduced(sq, cube_inv) == reduced("1/z^6")
-    # cancellation on composition: (z^2/(z-1)) after z -> z+1 style moves
     moeb = reduced("1/z")
     assert compose_reduced(moeb, moeb) == reduced("z")
+
+
+def _compose_cancelling(outer, inner):
+    """The reference: outer(inner(z)) with the gcd of the sums divided
+    out, which compose_reduced's coprimality lemma makes unnecessary."""
+    p, q = list(inner.num), list(inner.den)
+    m = max(cpoly.degree(outer.num), cpoly.degree(outer.den), 0)
+    p_pow, q_pow = [[GaussianRational.one()]], [[GaussianRational.one()]]
+    for _ in range(m):
+        p_pow.append(cpoly.pmul(p_pow[-1], p))
+        q_pow.append(cpoly.pmul(q_pow[-1], q))
+    num, den = [], []
+    for i in range(m + 1):
+        basis = cpoly.pmul(p_pow[i], q_pow[m - i])
+        if i < len(outer.num):
+            num = cpoly.padd(num, cpoly.pscale(basis, outer.num[i]))
+        if i < len(outer.den):
+            den = cpoly.padd(den, cpoly.pscale(basis, outer.den[i]))
+    g = cpoly.pgcd(num, den) if num and den else []
+    if cpoly.degree(g) > 0:
+        num, den = cpoly.pdiv_exact(num, g), cpoly.pdiv_exact(den, g)
+    return ReducedMap(num, den)
+
+
+_gauss_ints = st.builds(GaussianRational, st.integers(-3, 3),
+                        st.integers(-2, 2))
+_coprime_pairs = st.tuples(
+    st.lists(_gauss_ints, max_size=4), st.lists(_gauss_ints, max_size=4)
+).filter(lambda nd: cpoly.trim(nd[0]) or cpoly.trim(nd[1])).filter(
+    lambda nd: cpoly.degree(cpoly.pgcd(*nd)) <= 0)
+
+
+@given(_coprime_pairs, _coprime_pairs)
+def test_compose_reduced_needs_no_cancellation(outer, inner):
+    # compose_reduced's lemma: maps in lowest terms compose to one, so its
+    # sums have a constant gcd and equal the cancelling composition
+    f, g = ReducedMap(*outer), ReducedMap(*inner)
+    out = compose_reduced(f, g)
+    assert cpoly.degree(cpoly.pgcd(out.num, out.den)) <= 0
+    assert out == _compose_cancelling(f, g)
+    assert out.degree == f.degree * g.degree
 
 
 def test_conjugate_by_identity():

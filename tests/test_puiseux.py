@@ -90,13 +90,6 @@ def test_inverse_keeps_leading_shift():
     assert inv.cap(1) == series((-1, 1), (0, -1), trunc=1)
 
 
-def test_division_and_pow():
-    assert (t_pow(1) / t_pow(3)) == t_pow(-2)
-    assert series((0, 1), (1, 1)) ** 2 == series((0, 1), (1, 2), (2, 1))
-    assert t_pow(Fraction(1, 2)) ** 2 == t_pow(1)
-    assert t_pow(2) ** -1 == t_pow(-2)
-
-
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         PuiseuxSeries.zero().inverse()

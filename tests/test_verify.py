@@ -7,19 +7,21 @@ import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rescaling import (MapL, ReducedMap, chordal_distance, cpoly, find_cycle,
-                       parse_family, parse_frame, verify, verify_rescaling,
-                       sphere_grid)
+from rescaling import (MapL, ReducedMap, cpoly, find_cycle, parse_family,
+                       parse_frame, verify, verify_rescaling, sphere_grid)
 from rescaling.verify import chordal_hom
-from .support import CUBIC, cycle, family, reduced
+from .support import CUBIC, NORMAL_FORM_SEED, cycle, family, reduced
+
+ONE, ZERO = 1.0 + 0j, 0j
 
 
-def test_chordal_distance_pins():
-    assert chordal_distance(0, "inf") == 1.0
-    assert chordal_distance(1, -1) == 1.0
-    assert chordal_distance(3 + 4j, 3 + 4j) == 0.0
-    assert chordal_distance("inf", "inf") == 0.0
-    assert 0 < chordal_distance(0, 1) < 1
+def test_chordal_hom_pins():
+    # points (z : 1) and infinity (1 : 0)
+    assert chordal_hom((ZERO, ONE), (ONE, ZERO)) == 1.0
+    assert chordal_hom((ONE, ONE), (-ONE, ONE)) == 1.0
+    assert chordal_hom((3 + 4j, ONE), (3 + 4j, ONE)) == 0.0
+    assert chordal_hom((ONE, ZERO), (ONE, ZERO)) == 0.0
+    assert 0 < chordal_hom((ZERO, ONE), (ONE, ONE)) < 1
 
 
 def test_chordal_is_symmetric_and_scale_free():
@@ -50,6 +52,20 @@ def test_verify_quadratic_period_two():
     assert rep.max_errors[-1] < 1e-5
     assert rep.control_error > 0.5
     assert rep.n_points + rep.n_excluded == 200
+
+
+@pytest.mark.parametrize("text, period", [
+    ("z*(z + 1/t)/(i*z + 1)", 4),
+    ("z*(z + 1/t)/(-z + 1)", 2),
+], ids=["mu2=i", "mu2=-1"])
+def test_verify_normal_form_cycles(text, period):
+    # Milnor's normal form with multipliers 1/t and mu2: mu2 a primitive
+    # q-th root of unity predicts a rescaling of period q
+    fam = parse_family(text)
+    rep = verify_rescaling(fam, find_cycle(fam, parse_frame(NORMAL_FORM_SEED)),
+                           grid_points=60)
+    assert rep.ok and rep.passed and rep.control_rejected
+    assert rep.period == period and rep.base == "(-1/2, 0)"
 
 
 def test_verify_ramified_cycle():
