@@ -14,17 +14,17 @@ center modulo t^h matter, so classes store the center cut below t^h.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .config import CENTER_HEIGHT_CAP, ITERATE_WINDOW_CAP
 from .errors import (AdvanceNotTerminating, AssertionFailed, DegenerateFamily,
                      PrecisionExhausted)
-from .maps import (AffineFrame, MapL, ReducedMap, block_min_val,
-                   compose_families, compose_reduced, conjugate,
-                   gauss_normalize, iterate_family, precompose_affine,
-                   reduce_family, residues, resultant_vanishes)
-from . import cpoly
+from .coefficients import GaussianRational
+from .maps import (AffineFrame, MapL, ReducedMap, _mulsum, compose_families,
+                   compose_reduced, conjugate, iterate_family, packed_min_val,
+                   precompose_ints, reduce_family, reduce_residues,
+                   resultant_vanishes)
 from .puiseux import PuiseuxSeries
 
 # corrections before the family is checked for degree 0 or a vanishing
@@ -161,35 +161,53 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
     and -delta, and each term of v is a constant shifted by some of them,
     so by the lemma both lie in (1/r)Z.  Cutting the center below t^h'
     drops terms and adds none.  QED.
+
+    The loop runs on one packing of f o M, by
+    :func:`~rescaling.maps.precompose_ints`: exponents are ints over the
+    scale r, coefficients Gaussian integers over one denominator.  A
+    subtraction writes c1 = p_0 / q_0 as (x + y i) / d in lowest terms,
+    p_0 and q_0 the residues where that of Q is first nonzero, and forms
+    d P - (x + y i) Q and d Q, which is d times (P - c1 Q, Q); then every
+    int is divided by their gcd, so that they grow as the loop's reduced
+    fractions do, not by a factor d each time.  Scaling P and Q by one
+    nonzero constant changes no valuation, residue ratio or reduced map,
+    so each state is that of the loop on series up to such a constant, and
+    the denominator is never needed.  The target center -v t^-u is the sum
+    of c1 t^-u over the subtractions, u taken before each: a rebalance
+    shifts v and u alike, and a subtraction adds -c1 to v before both
+    shift by -delta.
     """
     src = canonicalize(frame)
-    work = precompose_affine(fam, src.frame())
-    u = Fraction(0)
-    v = PuiseuxSeries.zero()
+    r, (num, den), _ = precompose_ints(fam, src.frame())
+    u = 0
+    center: Dict[int, GaussianRational] = {}
     corrections = 0
     while True:
-        work = gauss_normalize(work)
-        p_res, q_res = residues(work)
+        num, den = _normalized(num, den)
+        p_res, q_res = _residues(num), _residues(den)
         if p_res and q_res:
-            c1 = _proportional(p_res, q_res)
-            if c1 is None:
+            lead = _proportional(p_res, q_res)
+            if lead is None:
                 break
-            gnum = cpoly.padd(work.num, cpoly.pscale(work.den, -c1))
-            delta = block_min_val(gnum)
+            c1 = GaussianRational(*lead[0]) / GaussianRational(*lead[1])
+            gnum = _mulsum([(num, [([(0, c1.d, 0)], inf)]),
+                            (den, [([(0, -c1.x, -c1.y)], inf)])])
+            delta = packed_min_val(gnum)
             # gnum has no t^0 term and no negative exponent, so delta > 0
             if delta == inf:
                 raise DegenerateFamily(
                     "family is exactly an affine constant in this frame")
-            work = MapL([c.shift(-delta) for c in gnum], work.den)
+            g = gcd(*_parts(gnum), c1.d * gcd(*_parts(den)))
+            num = [_shifted(x, -delta, 1, g) for x in gnum]
+            den = [_shifted(x, 0, c1.d, g) for x in den]
+            center[-u] = center.get(-u, 0) + c1
             u -= delta
-            v = (v - c1).shift(-delta)
         else:
-            # gauss_normalize refused a zero block; the block whose residue
+            # _normalized refused a zero block; the block whose residue
             # survives holds the t^0 term, so a != 0
-            a = block_min_val(work.den) - block_min_val(work.num)
-            work = work.scaled_function(a)
+            a = packed_min_val(den) - packed_min_val(num)
+            num = [_shifted(x, a) for x in num]
             u += a
-            v = v.shift(a)
         corrections += 1
         if corrections == _DEGENERACY_CHECK_AFTER:
             if fam.degree < 1:
@@ -198,23 +216,68 @@ def advance(fam: MapL, frame: Union[AffineFrame, FrameClass]) -> StepResult:
                     "non-constant residue")
             if resultant_vanishes(fam):
                 raise DegenerateFamily("resultant vanishes identically")
-    limit = reduce_family(work)
+    limit = reduce_residues([GaussianRational(*g) for g in p_res],
+                            [GaussianRational(*g) for g in q_res], fam.degree)
     if limit.degree < 1:
         raise AssertionFailed(
             "advance stopped on a constant residue",
             details={"frame": str(src)})
-    target = canonicalize(AffineFrame(-u, (-v).shift(-u)))
+    terms = tuple((Fraction(e, r), g) for e, g in sorted(center.items()) if g)
+    target = canonicalize(AffineFrame(Fraction(-u, r),
+                                      PuiseuxSeries(terms, inf)))
     return StepResult(src, target, limit, corrections)
 
 
-def _proportional(p: cpoly.Poly, q: cpoly.Poly):
-    """The constant c with p = c*q, or None. p, q trimmed and nonzero."""
-    i0 = next(i for i, c in enumerate(q) if not c.is_zero)
-    if i0 >= len(p):
+def _shifted(entry, s: int, m: int = 1, g: int = 1):
+    """A packed entry times m t^s / g, g dividing m times each int."""
+    terms, top = entry
+    if m == g:
+        return [(e + s, x, y) for e, x, y in terms], top + s
+    return [(e + s, x * m // g, y * m // g) for e, x, y in terms], top + s
+
+
+def _parts(block):
+    """The ints x and y of every term of a packed block."""
+    return [v for terms, _ in block for _, x, y in terms for v in (x, y)]
+
+
+def _normalized(num, den):
+    """:func:`~rescaling.maps.gauss_normalize` on packed entries."""
+    if all(not ts and top == inf for ts, top in num) \
+            or all(not ts and top == inf for ts, top in den):
+        raise DegenerateFamily("numerator or denominator identically zero")
+    mu = packed_min_val(num + den)
+    if mu == 0:
+        return num, den
+    return [_shifted(x, -mu) for x in num], [_shifted(x, -mu) for x in den]
+
+
+def _residues(block):
+    """The trimmed residues (x, y) of a normalized packed block."""
+    out = []
+    for terms, top in block:
+        # normalization leaves every entry known at least mod t^0
+        if top <= 0:
+            raise PrecisionExhausted("constant term not visible mod t^0")
+        out.append(terms[0][1:] if terms and terms[0][0] == 0 else (0, 0))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _proportional(p, q):
+    """(p_0, q_0), the entries of p and q at the first nonzero entry of q,
+    when p = (p_0 / q_0) q; else None.  p, q trimmed and nonzero."""
+    i0 = next(i for i, g in enumerate(q) if g != (0, 0))
+    if len(p) != len(q):
         return None
-    c1 = p[i0] / q[i0]
-    diff = cpoly.psub(p, cpoly.pscale(q, c1))
-    return c1 if cpoly.is_zero_poly(diff) else None
+    (px, py), (qx, qy) = p[i0], q[i0]
+    for (ax, ay), (bx, by) in zip(p, q):
+        # a q_0 = p_0 b over Z[i]
+        if ax * qx - ay * qy != px * bx - py * by \
+                or ax * qy + ay * qx != px * by + py * bx:
+            return None
+    return p[i0], q[i0]
 
 
 class RescalingCycle(NamedTuple):

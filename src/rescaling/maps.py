@@ -196,10 +196,6 @@ class MapL:
     def coeffs(self) -> Tuple[PuiseuxSeries, ...]:
         return self.num + self.den
 
-    def scaled_function(self, a) -> MapL:
-        """The family t^a * (P/Q)."""
-        return MapL([c.shift(a) for c in self.num], self.den)
-
     def __repr__(self):
         n = " + ".join(f"({c})z^{i}" for i, c in enumerate(self.num)
                        if c.terms or not c.is_zero)
@@ -214,8 +210,15 @@ def block_min_val(coeffs: Sequence[PuiseuxSeries]):
     Undecidable when some coefficient is zero as far as known but truncated
     before every known valuation.
     """
-    known = [c.valuation() for c in coeffs if c.terms]
-    unknown = [c.trunc for c in coeffs if not c.terms and not c.is_zero]
+    return packed_min_val([(c.terms, c.trunc) for c in coeffs])
+
+
+def packed_min_val(entries):
+    """:func:`block_min_val` of (terms, trunc) pairs whose terms start with
+    their exponent, increasing: series terms or the packed entries of
+    :func:`_mulsum`, whose answer is over their exponent scale."""
+    known = [ts[0][0] for ts, _ in entries if ts]
+    unknown = [top for ts, top in entries if not ts and top != inf]
     if known and (not unknown or min(known) <= min(unknown)):
         return min(known)
     if not known and not unknown:
@@ -316,14 +319,20 @@ class ReducedMap:
 
 
 def reduce_family(fam: MapL) -> ReducedMap:
-    """Residue map of a family, in lowest terms, with its hole divisor.
+    """Residue map of a family, in lowest terms, with its hole divisor."""
+    return reduce_residues(*residues(gauss_normalize(fam)), fam.degree)
 
-    The degree accounting deg(reduced) + deg(holes) = formal degree is
+
+def reduce_residues(p_res: cpoly.Poly, q_res: cpoly.Poly,
+                    d: int) -> ReducedMap:
+    """The reduced map and hole divisor of the trimmed residue pair of a
+    Gauss-normalized family of formal degree d.
+
+    The pair may be scaled by one nonzero constant: the gcd is monic and
+    :class:`ReducedMap` scales canonically, so nothing here changes.  The
+    degree accounting deg(reduced) + deg(holes) = formal degree is
     checked and raised as :class:`AssertionFailed` when violated.
     """
-    d = fam.degree
-    fn = gauss_normalize(fam)
-    p_res, q_res = residues(fn)
     if not q_res:
         holes = cpoly.monic(p_res)
         out = ReducedMap([GaussianRational.one()], [], holes,
@@ -376,36 +385,91 @@ def _compose(outer, inner):
             for o in (onum, oden)]
 
 
-def _frame_ints(fam: MapL, frame: AffineFrame):
-    """The exponent scale r, fam packed over its D_f, and c + t^h w over
-    1 packed over the center's D_c, with D_f and D_c."""
+def _horner(coeffs, lin, dc: int):
+    """sum_i a_i L^i for the packed coefficients a_i over D_f and the
+    packed L = c + t^h w over D_c, by Horner's rule: A <- A L + a_j from
+    A = a_m down, each step one :func:`_mulsum` of the pairs (A, L) and
+    (a_j, 1).  The step that adds a_j is the k-th, and over D_f D_c^k, so
+    1 is written D_c^k over D_c^k; the result is over D_f D_c^m.
+
+    Lemma.  The result equals, term for term and in ``trunc``, the loop of
+    series that forms the powers L^i by repeated products and sums the
+    products a_i (L^i)_k of each degree k.
+
+    Proof.  Write T_i, w_i for the trunc and ``val_lower`` of a_i, and T, g
+    for those of c (all inf for an identically zero one).  A product of
+    series has trunc min(T_X + w_Y, T_Y + w_X) and ``val_lower``
+    w_X + w_Y (the leading terms multiply to a nonzero term below that
+    trunc; with no term, that is the trunc itself); a sum has the least
+    trunc.  In the loop (L^i)_k, for i > k, is C(i, k) c^(i-k) t^(kh), the
+    sum of two positive multiples of c^(i-k) t^(kh) from (L^(i-1))_k c and
+    (L^(i-1))_(k-1) t^h; by induction on i it has ``val_lower``
+    (i-k) g + kh and trunc T + (i-k-1) g + kh, and (L^k)_k = t^(kh) is
+    exact.  So entry k of the loop has trunc P_k, the least of the terms
+    T_i + (i-k) g + kh for i >= k and T + w_i + (i-k-1) g + kh for i > k.
+
+    Let A^j be the value after a_j is added, sum over i >= j of
+    a_i L^(i-j), and P^j_k the same least with i - j for i; P^0_k = P_k.
+    We show by descending induction on j that A^j_k has trunc P^j_k; at
+    j = m, A^m = a_m.  The step gives A^j_k the trunc min(trunc A^(j+1)_k
+    + g, T + V, trunc A^(j+1)_(k-1) + h, and T_j if k = 0), where V is the
+    ``val_lower`` of A^(j+1)_k.  For k >= 1, the third is P^j_k, the
+    first is a least over some of its terms, and T + V is no less, since V
+    is at least the least ``val_lower`` w_i + (i-j-1-k) g + kh of the
+    summands of A^(j+1)_k and T plus each is a term of P^j_k.  For k = 0,
+    the first and last give P', the least of every term of P^j_0 but
+    T + w_(j+1).  P' has the terms T + w_i + (i-j-1) g for i >= j + 2, so
+    P^j_0 = min(P', T + F) with F = min over i > j of w_i + (i-j-1) g,
+    while the step gives min(P', T + V) with V >= F.  If V = F the two
+    agree.  If V > F, the trunc of A^(j+1)_0 is above F, so every i that
+    attains F has a term there, as does c when i >= j + 2, and those
+    leading terms sum to zero: at least two i attain F, one of them
+    i >= j + 2, whose term T + F is in P'.  So both are P'.
+
+    So every trunc agrees, and each is at most that of an input of its
+    step plus g or h; hence a term dropped at or above an intermediate
+    trunc, or skipped by :func:`_mulsum`, could reach entry k only at or
+    above the final trunc.  Both results are then the known terms of the
+    exact polynomial sum_i a_i (c + t^h w)^i below that trunc, zeros
+    removed.  QED.
+    """
+    acc = [coeffs[-1]]
+    for k, a in enumerate(reversed(coeffs[:-1]), 1):
+        acc = _mulsum([(acc, lin), ([a], [([(0, dc ** k, 0)], inf)])])
+    return acc
+
+
+def precompose_ints(fam: MapL, frame: AffineFrame):
+    """f(c(t) + t^h w) packed: (r, [P, Q], D), P and Q packed as in
+    :func:`_mulsum` over the exponent scale r and the denominator D."""
     r = _scale(fam.coeffs() + (frame.c,), frame.h.denominator)
     f, df = _ints([fam.num, fam.den], r)
     ((c,),), dc = _ints([[frame.c]], r)
-    one = ([(0, dc, 0)], inf)
-    return r, f, df, ([c, ([(_scaled(frame.h, r), dc, 0)], inf)], [one]), dc
+    lin = [c, ([(_scaled(frame.h, r), dc, 0)], inf)]
+    return r, [_horner(p, lin, dc) for p in f], df * dc ** fam.degree
 
 
 def precompose_affine(fam: MapL, frame: AffineFrame) -> MapL:
     """The family f(c(t) + t^h w), as a family in w."""
-    r, f, df, lin, dc = _frame_ints(fam, frame)
-    return MapL(*_unpack(_compose(f, lin), r, df * dc ** fam.degree))
+    r, polys, den = precompose_ints(fam, frame)
+    return MapL(*_unpack(polys, r, den))
 
 
 def conjugate(fam: MapL, frame: AffineFrame) -> MapL:
     """M^-1 o f o M for the affine frame M.
 
-    M^-1 is the degree-1 family (b + s w)/1, with s = t^-h and b = -c t^-h
-    over D_c, composed after f o M = P/Q: that gives s P + b Q over Q, with
-    the series products and sum of the postcomposition.
+    M^-1 is (w - c) t^-h, so with f o M = P/Q this is (s P + b Q)/Q,
+    s = t^-h and b = -c t^-h over D_c, and Q taken as 1 Q over D_c: the
+    series products and sum of the postcomposition, each a
+    :func:`_mulsum`.
     """
-    r, f, df, lin, dc = _frame_ints(fam, frame)
+    r, (p, q), den = precompose_ints(fam, frame)
+    ((c,),), dc = _ints([[frame.c]], r)
     hr = _scaled(frame.h, r)
-    (cterms, ctop), one = lin[0][0], lin[1][0]
-    b = ([(e - hr, -x, -y) for e, x, y in cterms], ctop - hr)
-    inv = ([b, ([(-hr, dc, 0)], inf)], [one])
-    return MapL(*_unpack(_compose(inv, _compose(f, lin)), r,
-                         df * dc ** (fam.degree + 1)))
+    b = ([(e - hr, -x, -y) for e, x, y in c[0]], c[1] - hr)
+    num = _mulsum([(p, [([(-hr, dc, 0)], inf)]), (q, [b])])
+    return MapL(*_unpack([num, _mulsum([(q, [([(0, dc, 0)], inf)])])], r,
+                         den * dc))
 
 
 def compose_families(outer: MapL, inner: MapL, window) -> MapL:

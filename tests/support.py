@@ -30,6 +30,9 @@ FAMILIES = {
     "cubic": (CUBIC, None),
     "cubic_shift": (CUBIC, "-1+t"),
     "cubic_inv": (CUBIC, "1/t"),
+    # Milnor's normal form, below, at mu2 = i and mu2 = -1
+    "mil4": ("z*(z + 1/t)/(i*z + 1)", None),
+    "mil2": ("z*(z + 1/t)/(-z + 1)", None),
 }
 
 # Milnor's normal form z(z + mu1)/(mu2 z + 1): a quadratic map whose fixed

@@ -24,6 +24,8 @@ FIXTURE_CYCLES = [
     ("lattes", "0"), ("lattes", "2/5"), ("lattes", "2/3"),
     ("mcm", "1/3"), ("mcm", "1/7"), ("mcm", "1/11"), ("mcm", "1/19"),
     ("cubic", "3"), ("cubic_shift", "5"), ("cubic_inv", "4"),
+    # limits (z^2 + i)/z and (z^2 + 1)/z, derived by hand in test_frames.py
+    ("mil4", "-1/2"), ("mil2", "-1/2"),
 ]
 
 

@@ -9,14 +9,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rescaling.frames as frames_mod
-from rescaling import (AdvanceNotTerminating, AffineFrame, DegenerateFamily,
-                       FrameClass, GaussianRational, MapL, PrecisionExhausted,
-                       PuiseuxSeries, RescalingError, ScanResult, advance,
-                       canonicalize, compose_reduced, conjugate, cpoly,
+import rescaling.maps as maps
+from rescaling import (AdvanceNotTerminating, AffineFrame, AssertionFailed,
+                       DegenerateFamily, FrameClass, GaussianRational, MapL,
+                       PrecisionExhausted, PuiseuxSeries, RescalingError,
+                       ScanResult, StepResult, advance, canonicalize,
+                       compose_reduced, conjugate, cpoly,
                        cycle_limit_crosscheck, escape_bound, find_cycle,
-                       frame_size, iterate_family, monomial_seed_scan,
-                       parse_family, parse_frame, period_set_check,
-                       precompose_affine, reduce_family)
+                       frame_size, gauss_normalize, iterate_family,
+                       monomial_seed_scan, parse_family, parse_frame,
+                       period_set_check, precompose_affine, reduce_family)
 from rescaling.config import ITERATE_WINDOW_CAP
 from rescaling.maps import block_min_val, residues
 from .support import (FAMILIES, MCMULLEN, NORMAL_FORM_SEED, QUAD0, cycle,
@@ -212,11 +214,42 @@ def test_step_limits_compose_to_cycle_limit():
         assert g == c.limit
 
 
-# every fixture cycle with d^q <= 64; each has period <= 3
+# every fixture cycle with d^q <= 64; each has period <= 4
 FIXTURE_CYCLES = [("quad0", "1"), ("quad0", "3"), ("quad1", "1"),
                   ("quad1", "3"), ("lattes", "0"), ("lattes", "2/5"),
                   ("lattes", "2/3"), ("mcm", "1/3"), ("mcm", "1/7"),
-                  ("cubic", "3"), ("cubic_shift", "5"), ("cubic_inv", "4")]
+                  ("cubic", "3"), ("cubic_shift", "5"), ("cubic_inv", "4"),
+                  ("mil4", "-1/2"), ("mil2", "-1/2")]
+
+
+# The cycles of f(z) = z (z + 1/t) / (m z + 1) at (-1/2, 0), m = i (mil4)
+# and m = -1 (mil2), by hand; write s = t^(1/2).
+# - In the frame (-1/2, 0), z = w / s, so
+#   f(z) = t^-1 (1 + s w) / (m + s / w) = m^-1 t^-1 (1 + s (w - 1/(m w)))
+#   + O(1): the next frame is (-1/2, m^-1 t^-1), with step limit
+#   m^-1 (w - 1/(m w)), which is (-i z^2 + 1)/z for m = i and
+#   (-z^2 - 1)/z for m = -1.
+# - In a frame (-1/2, a t^-1), a != 0, z = t^-1 (a + s w), so
+#   f(z) = t^-1 (a + s w)(a + 1 + s w) / (m (a + s w) + t)
+#   = m^-1 t^-1 (a + 1 + s w) (1 + O(t)): the next frame is
+#   (-1/2, m^-1 (a + 1) t^-1), with step limit m^-1 w.
+# - For m = i the centers run 0, -i, -1 - i, -1 and back to 0, so the
+#   period is 4 and the limit is (-i)^3 (-i z^2 + 1)/z = (z^2 + i)/z.
+# - For m = -1 they run 0, -1 and back to 0, so the period is 2 and the
+#   limit is -(-z^2 - 1)/z = (z^2 + 1)/z.
+def test_normal_form_cycles_have_the_limits_derived_by_hand():
+    c = cycle("mil4", "-1/2")
+    assert [str(f) for f in c.frames] == [
+        "(-1/2, 0)", "(-1/2, -i*t^-1)", "(-1/2, (-1-i)*t^-1)",
+        "(-1/2, -t^-1)"]
+    assert c.steps[0].limit == reduced("(-i*z^2 + 1)/z")
+    assert all(s.limit == reduced("-i*z") for s in c.steps[1:])
+    assert c.limit == reduced("(z^2 + i)/z")
+    c = cycle("mil2", "-1/2")
+    assert [str(f) for f in c.frames] == ["(-1/2, 0)", "(-1/2, -t^-1)"]
+    assert [s.limit for s in c.steps] == [reduced("(-z^2 - 1)/z"),
+                                          reduced("-z")]
+    assert c.limit == reduced("(z^2 + 1)/z")
 
 
 def test_cycle_limit_crosscheck_fixtures():
@@ -590,15 +623,25 @@ def _spend(state):
 def test_corrections_spend_the_resultant_valuation(fam, fr):
     # advance's lemma: at each correction v(Res) at the formal degree falls
     # by d times what the correction spends, and it never goes below 0
-    states = []
-    real = frames_mod.gauss_normalize
+    states, scales = [], []
+    real, pack = frames_mod._normalized, frames_mod.precompose_ints
 
-    def spy(work):
-        states.append(real(work))
+    def spy(num, den):
+        states.append(real(num, den))
         return states[-1]
 
-    with mock.patch.object(frames_mod, "gauss_normalize", spy):
+    def packing(fam_, frame_):
+        out = pack(fam_, frame_)
+        scales.append(out[0])
+        return out
+
+    with mock.patch.object(frames_mod, "_normalized", spy), \
+            mock.patch.object(frames_mod, "precompose_ints", packing):
         step = advance(fam, fr)
+    # each packed state is over one unknown denominator; read as Gaussian
+    # integers it is the loop's state times a constant, which changes
+    # neither valuations nor residue ratios
+    states = [MapL(*maps._unpack(state, scales[0], 1)) for state in states]
     assert len(states) == step.n_corrections + 1
     d = fam.degree
     vals = [_resultant_valuation_at(s, d) for s in states]
@@ -631,16 +674,116 @@ def test_orbit_never_ramifies_beyond_its_seed(fam, h, c, max_steps):
         assert all(R % e.denominator == 0 for e, _ in fc.c.terms)
 
 
-@pytest.mark.parametrize("fam", [
-    MapL([PuiseuxSeries.zero(), PuiseuxSeries.one()],
-         [PuiseuxSeries.zero(), PuiseuxSeries.build([(0, 1), (1, 1)], inf)]),
-    parse_family("1/(1-t)"),
-], ids=["degenerate", "constant"])
+DEGENERATE = MapL(
+    [PuiseuxSeries.zero(), PuiseuxSeries.one()],
+    [PuiseuxSeries.zero(), PuiseuxSeries.build([(0, 1), (1, 1)], inf)])
+
+
+@pytest.mark.parametrize("fam", [DEGENERATE, parse_family("1/(1-t)")],
+                         ids=["degenerate", "constant"])
 def test_advance_refuses_a_family_the_lemma_does_not_cover(fam):
     # z/((1 + t) z) subtracts forever, and so does the constant 1/(1 - t),
     # through its expansion in t
     with pytest.raises(DegenerateFamily):
         advance(fam, parse_frame("1"))
+
+
+# -- advance on packed integers against the loop on series -------------------
+
+
+def _series_proportional(p, q):
+    """The constant c with p = c*q, or None. p, q trimmed and nonzero."""
+    i0 = next(i for i, c in enumerate(q) if not c.is_zero)
+    if i0 >= len(p):
+        return None
+    c1 = p[i0] / q[i0]
+    diff = cpoly.psub(p, cpoly.pscale(q, c1))
+    return c1 if cpoly.is_zero_poly(diff) else None
+
+
+def _series_advance(fam, frame):
+    """advance with its correction loop on series families: the reference
+    for the loop on packed integers."""
+    src = canonicalize(frame)
+    work = precompose_affine(fam, src.frame())
+    u = Fraction(0)
+    v = PuiseuxSeries.zero()
+    corrections = 0
+    while True:
+        work = gauss_normalize(work)
+        p_res, q_res = residues(work)
+        if p_res and q_res:
+            c1 = _series_proportional(p_res, q_res)
+            if c1 is None:
+                break
+            gnum = cpoly.padd(work.num, cpoly.pscale(work.den, -c1))
+            delta = block_min_val(gnum)
+            if delta == inf:
+                raise DegenerateFamily(
+                    "family is exactly an affine constant in this frame")
+            work = MapL([c.shift(-delta) for c in gnum], work.den)
+            u -= delta
+            v = (v - c1).shift(-delta)
+        else:
+            a = block_min_val(work.den) - block_min_val(work.num)
+            work = MapL([c.shift(a) for c in work.num], work.den)
+            u += a
+            v = v.shift(a)
+        corrections += 1
+        if corrections == frames_mod._DEGENERACY_CHECK_AFTER:
+            if fam.degree < 1:
+                raise DegenerateFamily(
+                    "family is constant in z, so no frame has a "
+                    "non-constant residue")
+            if maps.resultant_vanishes(fam):
+                raise DegenerateFamily("resultant vanishes identically")
+    limit = reduce_family(work)
+    if limit.degree < 1:
+        raise AssertionFailed("advance stopped on a constant residue",
+                              details={"frame": str(src)})
+    target = canonicalize(AffineFrame(-u, (-v).shift(-u)))
+    return StepResult(src, target, limit, corrections)
+
+
+def _step_outcome(step_fn, fam, fr):
+    """The step with its limit's hole record, or the error's type and
+    message."""
+    out = _outcome(step_fn, fam, fr)
+    if isinstance(out, StepResult):
+        return (out, out.limit.holes, out.limit.inf_mult,
+                out.limit.source_degree)
+    return out
+
+
+@given(st.one_of(random_families, normal_forms),
+       st.builds(_frame_from, hs, center_terms))
+@example(parse_family("z^2 + t"),
+         parse_frame("7, t + t^2 + 2*t^3 + 5*t^4 + 14*t^5 + 42*t^6"))
+@example(parse_family("(-i*z^0 + t^2*z^1)/(1*z^0 + 3*t^(1/2)*z^2)"),
+         parse_frame("2"))
+@example(parse_family("((1+i)*t^(0)*z^0)/((i)*t^(1/2)*z^0 + (1+i)*t^(2)*z^1"
+                      " + (2)*t^(0)*z^2 + (i)*t^(0)*z^3)"), parse_frame("3/2"))
+@example(DEGENERATE, parse_frame("1"))
+@example(parse_family("1/(1-t)"), parse_frame("1"))
+def test_advance_matches_the_series_loop(fam, fr):
+    # the same step, limit, holes and corrections, or the same error
+    assert _step_outcome(advance, fam, fr) \
+        == _step_outcome(_series_advance, fam, fr)
+
+
+def test_advance_builds_few_series(monkeypatch):
+    # the loop on series built 39 here, one per coefficient and correction
+    fam, fr = parse_family(MCMULLEN), parse_frame("1/7")
+    built = []
+    init = PuiseuxSeries.__init__
+
+    def counting(self, terms, trunc):
+        built.append(1)
+        init(self, terms, trunc)
+
+    monkeypatch.setattr(PuiseuxSeries, "__init__", counting)
+    advance(fam, fr)
+    assert len(built) <= 8
 
 
 # -- iterate windows ---------------------------------------------------------
