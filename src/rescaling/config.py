@@ -7,9 +7,6 @@ inside the library.
 
 from __future__ import annotations
 
-#: Infinite expansions are cut below this exponent by default.
-DEFAULT_TRUNC = 16
-
 #: Hard cap on the z-degree of a composition of families, deg(f)**n for
 #: the n-th iterate, and of a parsed family.
 ITERATE_DEGREE_CAP = 64

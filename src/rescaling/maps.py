@@ -390,7 +390,9 @@ def _horner(coeffs, lin, dc: int):
     packed L = c + t^h w over D_c, by Horner's rule: A <- A L + a_j from
     A = a_m down, each step one :func:`_mulsum` of the pairs (A, L) and
     (a_j, 1).  The step that adds a_j is the k-th, and over D_f D_c^k, so
-    1 is written D_c^k over D_c^k; the result is over D_f D_c^m.
+    1 is written D_c^k over D_c^k; the result is over D_f D_c^m.  The rule
+    starts at the highest a_top not identically zero, with A = a_top
+    D_c^(m-top), and pads m - top zero entries on top (see the Start).
 
     Lemma.  The result equals, term for term and in ``trunc``, the loop of
     series that forms the powers L^i by repeated products and sums the
@@ -432,11 +434,23 @@ def _horner(coeffs, lin, dc: int):
     above the final trunc.  Both results are then the known terms of the
     exact polynomial sum_i a_i (c + t^h w)^i below that trunc, zeros
     removed.  QED.
+
+    Start.  While A is identically zero, a step adds an identically zero
+    a_j to products with the zero A, which have trunc inf and no terms
+    (:func:`_mulsum`), so A stays zero; at step k = m - top it becomes
+    a_top D_c^k, over D_f D_c^k, with k zero entries above.  A zero entry
+    adds no term and no finite trunc to any later product, so each later
+    step gives the same entries from a_top D_c^k alone, and zeros above.
     """
-    acc = [coeffs[-1]]
-    for k, a in enumerate(reversed(coeffs[:-1]), 1):
+    m = top = len(coeffs) - 1
+    while top and not coeffs[top][0] and coeffs[top][1] == inf:
+        top -= 1
+    scale = dc ** (m - top)
+    terms, trunc = coeffs[top]
+    acc = [([(e, x * scale, y * scale) for e, x, y in terms], trunc)]
+    for k, a in enumerate(reversed(coeffs[:top]), m - top + 1):
         acc = _mulsum([(acc, lin), ([a], [([(0, dc ** k, 0)], inf)])])
-    return acc
+    return acc + [([], inf) for _ in range(m - top)]
 
 
 def precompose_ints(fam: MapL, frame: AffineFrame):

@@ -12,8 +12,8 @@ actually certified:
 * ``a * b`` is known mod t^min(trunc_a + val(b), trunc_b + val(a));
 * ``1/a`` with a = c t^e (1 + u) is known mod t^(trunc_a - 2e), or exactly
   when u vanishes identically; inverting an exact series with a nontrivial
-  tail produces an infinite expansion, cut at t^DEFAULT_TRUNC (16) unless
-  the caller asks for a ``prec``.
+  tail produces an infinite expansion, which the caller must cut with a
+  ``prec``.
 
 Asking for the valuation of a series that is zero as far as it is known
 raises :class:`~rescaling.errors.PrecisionExhausted`; an identically zero
@@ -26,7 +26,6 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Tuple, Union
 
-from .config import DEFAULT_TRUNC
 from .errors import PrecisionExhausted
 from .coefficients import GaussianRational
 
@@ -212,8 +211,8 @@ class PuiseuxSeries:
         """Multiplicative inverse, truncated as documented in the module header.
 
         ``prec`` cuts the result at t^prec: anywhere in the infinite
-        expansion of an exact series, and only tighter than the known
-        truncation otherwise.
+        expansion of an exact series, where it is required (``ValueError``
+        without it), and only tighter than the known truncation otherwise.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero series")
@@ -223,7 +222,9 @@ class PuiseuxSeries:
             out = PuiseuxSeries.t_power(-e, c.inverse())
             return out if prec is None else out.cap(prec)
         if self.trunc == inf:
-            trunc = DEFAULT_TRUNC if prec is None else prec
+            if prec is None:
+                raise ValueError("an infinite expansion needs a prec")
+            trunc = prec
         else:
             trunc = self.trunc - 2 * e
             if prec is not None:

@@ -15,7 +15,6 @@ from rescaling import (advance, classify_limit, conjugate,
                        iterate_family, parse_frame, period_set_check,
                        quadratic_dichotomy_report, reduce_family,
                        verify_rescaling)
-from rescaling.config import DEFAULT_TRUNC
 from . import conftest
 from .support import cycle, family, reduced, scan
 
@@ -43,7 +42,7 @@ def test_criterion_1_cubic_seed_fixtures():
     # constant infinity at h = 2, whose orbit escapes (see test_frames).
     cubic = family("cubic")
     third = {h: reduce_family(iterate_family(
-                 conjugate(cubic, parse_frame(h)), 3, window=DEFAULT_TRUNC))
+                 conjugate(cubic, parse_frame(h)), 3, window=16))
              for h in ("2", "3")}
     ok_iterates = third["3"] == reduced("z^2") and third["2"].degree < 1
     t0 = time.monotonic()

@@ -440,8 +440,8 @@ def test_float_family_verifies_high_cancellation_frame(capsys):
 def test_cli_import_loads_no_numeric_stack():
     src = str(Path(rescaling.__file__).resolve().parents[1])
     probe = ("import sys, rescaling.cli; "
-             "print(sorted({'numpy', 'mpmath', 'sympy', 'dataclasses', "
-             "'inspect'} & set(sys.modules)))")
+             "print(sorted({'mpmath', 'sympy', 'dataclasses', 'inspect'} "
+             "& set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
@@ -528,20 +528,25 @@ def test_printed_center_parses_back_as_a_frame(capsys):
     (CUBIC, "--frame", "3", "--points", "40"),
     (MCMULLEN, "--frame", "1/7", "--points", "6000"),
     (LATTES, "--frame", "2/5", "--points", "6000"),
-], ids=["quad0", "cubic", "mcm", "lattes"])
+    ("z^2*(z^2 - 2 + t)/(z^2 - 2)", "--frame", "0", "--points", "200"),
+], ids=["quad0", "cubic", "mcm", "lattes", "irrational_hole"])
 def test_verify_loads_no_numpy(argv):
-    # the hole and preimage polynomials here have degree <= 2 with their
-    # roots at 0 or found from a linear factor, so numpy is never needed;
-    # cubic (3) cancels up to 20 digits, which its orbits carry on ints;
-    # the 6000-point float grids run on Python complex alone
+    # verify loads no module from outside the standard library: its hole
+    # and preimage roots come from cpoly's exact splitter and Aberth
+    # iteration, cubic (3) cancels up to 20 digits, which its orbits carry
+    # on ints, and the 6000-point float grids run on Python complex alone
     src = str(Path(rescaling.__file__).resolve().parents[1])
-    probe = ("import sys, contextlib, io, rescaling.cli\n"
+    probe = ("import sys, contextlib, io\n"
+             "before = set(sys.modules)\n"
+             "import rescaling.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = rescaling.cli.main(['verify'] + sys.argv[1:])\n"
-             "print(code, 'numpy' in sys.modules, 'mpmath' in sys.modules)")
+             "print(code, 'mpmath' in sys.modules, sorted("
+             "{m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - sys.stdlib_module_names - {'rescaling'}))")
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
                          check=True, capture_output=True, text=True).stdout
-    assert out.split() == ["0", "False", "False"]
+    assert out.split() == ["0", "False", "[]"]
 
 
 @pytest.mark.parametrize("family", [LATTES, QUAD0, "z*(z + 1/t)/(i*z + 1)"],
@@ -553,8 +558,7 @@ def test_report_loads_no_sympy(family):
     probe = ("import sys, contextlib, io, rescaling.cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = rescaling.cli.main(['report'] + sys.argv[1:])\n"
-             "print(code, sorted({'sympy', 'mpmath', 'numpy'}"
-             " & set(sys.modules)))")
+             "print(code, sorted({'sympy', 'mpmath'} & set(sys.modules)))")
     argv = [family, "--max-denominator", "7", "--dichotomy"]
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=src,
                          check=True, capture_output=True, text=True).stdout
@@ -685,14 +689,15 @@ def test_library_ignores_truncation_env(monkeypatch, env):
     def observe():
         fam = rescaling.parse_family(QUAD0)
         center = rescaling.parse_frame("1, 1/(1-t)").c
-        inv = rescaling.PuiseuxSeries.build([(0, 1), (1, -1)], inf).inverse()
+        inv = rescaling.PuiseuxSeries.build([(0, 1), (1, -1)], inf).inverse(
+            prec=16)
         cyc = rescaling.find_cycle(fam, rescaling.parse_frame("1"))
         return ([(c.terms, c.trunc) for c in fam.coeffs()],
                 (center.terms, center.trunc), (inv.terms, inv.trunc),
                 rescaling.cycle_limit_crosscheck(fam, cyc))
 
     unset = observe()
-    # the center keeps its exact terms up to t^1; the inverse its default
+    # the center keeps its exact terms up to t^1; the inverse its prec
     assert unset[1] == (((0, 1), (1, 1)), inf)
     assert unset[2][1] == 16 and unset[3]
     monkeypatch.setenv("RESCALING_TRUNC", env)

@@ -1,5 +1,6 @@
-"""Every module-level import is used, every error class is raised, every
-configuration constant is imported, and the benchmark tracer binds.
+"""Every module-level import is used, the package imports nothing outside
+the standard library, every error class is raised, every configuration
+constant is imported, and the benchmark tracer binds.
 
 No lint tool is a dependency, so this scans the sources with ``ast``.  A
 package ``__init__.py`` is skipped: its imports are re-exports.
@@ -41,6 +42,41 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str):
+    """The top-level module of every import, at module level or inside a
+    function; a relative import names the package, ``rescaling``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("rescaling" if node.level
+                      else node.module.split(".")[0])
+    return names
+
+
+def test_scan_finds_imports_at_any_depth():
+    assert imported_modules("import os.path\nfrom . import x\n"
+                            "from .a.b import c\nfrom json import dumps\n"
+                            "def f():\n    import yaml\n") == {
+        "os", "rescaling", "json", "yaml"}
+
+
+def test_package_imports_only_the_standard_library():
+    # no runtime dependency: every import names the package or a module of
+    # the standard library
+    found = set().union(*(imported_modules(p.read_text())
+                          for p in (ROOT / "src/rescaling").glob("*.py")))
+    assert "importlib" in found
+    assert sorted(found - sys.stdlib_module_names - {"rescaling"}) == []
+
+
+def test_project_declares_no_dependency():
+    table = (ROOT / "pyproject.toml").read_text().split("\n[project]\n")[1]
+    table = table.split("\n[")[0]
+    assert "dependencies = []" in table.splitlines()
 
 
 def error_classes(source: str):

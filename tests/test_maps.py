@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
@@ -14,7 +14,6 @@ from rescaling import (AffineFrame, DegenerateFamily, GaussianRational, MapL,
                        gauss_normalize, iterate_family, maps, parse_family,
                        parse_frame, precompose_affine, reduce_family,
                        resultant_series, resultant_valuation)
-from rescaling.config import DEFAULT_TRUNC
 from rescaling.maps import resultant_vanishes, smul
 from .support import family, reduced
 
@@ -144,10 +143,10 @@ def test_precompose_affine_shifts_center():
 
 def test_iterate_family():
     fam = parse_family("z^2")
-    assert reduce_family(iterate_family(fam, 3, DEFAULT_TRUNC)) \
+    assert reduce_family(iterate_family(fam, 3, 16)) \
         == reduced("z^8")
     with pytest.raises(ValueError):
-        iterate_family(fam, 0, DEFAULT_TRUNC)
+        iterate_family(fam, 0, 16)
 
 
 # -- the integer product kernel against the per-pair loop -------------------
@@ -264,6 +263,26 @@ def test_packed_precompose_and_conjugate_match_series(fam, frame):
     _same_family(conjugate(fam, frame), _ref_conjugate(fam, frame))
 
 
+def _full_horner(coeffs, lin, dc):
+    """``maps._horner``'s rule from A = a_m, through zero top entries."""
+    acc = [coeffs[-1]]
+    for k, a in enumerate(reversed(coeffs[:-1]), 1):
+        acc = maps._mulsum([(acc, lin), ([a], [([(0, dc ** k, 0)], inf)])])
+    return acc
+
+
+@given(families, frames)
+# the denominator z^2 of z^3 + t/z^2 has three zero entries above it
+@example(family("mcm"), parse_frame("1/7"))
+def test_horner_from_the_top_nonzero_entry_matches_the_full_rule(fam, frame):
+    r = maps._scale(fam.coeffs() + (frame.c,), frame.h.denominator)
+    polys, _ = maps._ints([fam.num, fam.den], r)
+    ((c,),), dc = maps._ints([[frame.c]], r)
+    lin = [c, ([(maps._scaled(frame.h, r), dc, 0)], inf)]
+    for p in polys:
+        assert maps._horner(p, lin, dc) == _full_horner(p, lin, dc)
+
+
 @given(families, families, windows)
 def test_packed_compose_matches_series(outer, inner, window):
     _same_family(compose_families(outer, inner, window),
@@ -285,8 +304,8 @@ def test_smul_kernel_matches_loop_on_quad0_iterates():
     _same_family(g, _ref_conjugate(family("quad0"), parse_frame("1")))
     fast = slow = g
     for ell in range(2, 6):
-        fast = compose_families(g, fast, DEFAULT_TRUNC)
-        slow = _ref_compose(g, slow, DEFAULT_TRUNC)
+        fast = compose_families(g, fast, 16)
+        slow = _ref_compose(g, slow, 16)
         assert fast.degree == 2 ** ell
         _same_family(fast, slow)
 
@@ -294,7 +313,7 @@ def test_smul_kernel_matches_loop_on_quad0_iterates():
 def test_compose_builds_one_series_per_coefficient(monkeypatch):
     # each product used to be unpacked into series: 1,076 of them here
     g = conjugate(family("quad0"), parse_frame("1"))
-    fifth = iterate_family(g, 5, DEFAULT_TRUNC)
+    fifth = iterate_family(g, 5, 16)
     built = []
     init = PuiseuxSeries.__init__
 
@@ -303,7 +322,7 @@ def test_compose_builds_one_series_per_coefficient(monkeypatch):
         init(self, terms, trunc)
 
     monkeypatch.setattr(PuiseuxSeries, "__init__", counting)
-    out = compose_families(g, fifth, DEFAULT_TRUNC)
+    out = compose_families(g, fifth, 16)
     assert len(out.coeffs()) == 130
     assert len(built) <= 2 * 130
 

@@ -80,6 +80,12 @@ def test_exact_inverse_takes_a_prec_above_the_default():
     assert inv == series(*[(k, 1) for k in range(20)], trunc=20)
 
 
+def test_infinite_inverse_needs_a_prec():
+    # no default cut: an exact series with a tail has no finite inverse
+    with pytest.raises(ValueError, match="prec"):
+        series((0, 1), (1, -1)).inverse()
+
+
 def test_inverse_prec_cannot_exceed_what_is_known():
     assert series((0, 1), (1, -1), trunc=3).inverse(prec=20).trunc == 3
 
