@@ -254,8 +254,10 @@ def _aberth(a: List[complex]) -> List[complex]:
     """The roots of p = a[0] + ... + a[n] z^n, a[0] and a[n] nonzero, by
     the Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27 (1973)).
 
-    The n iterates start on the circle of radius |a[0]/a[n]|^(1/n).  A step
-    moves each z_i by N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j)), with
+    The n iterates start evenly spaced on the circle of radius
+    |a[0]/a[n]|^(1/n), turned 0.4 off the real axis: from a start symmetric
+    about it, the real iterates of a real polynomial would stay real.  A
+    step moves each z_i by N_i / (1 - N_i sum_{j != i} 1/(z_i - z_j)), with
     N_i = p(z_i)/p'(z_i).  Why the stop rule certifies its answer:
 
     * Lagrange interpolation at distinct z_i gives p(z) = a[n] prod_j
